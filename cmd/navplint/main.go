@@ -9,7 +9,7 @@
 // stay unexported and are called only through their declaring file's
 // feature-detect dispatcher), syncorder (persist-before-
 // acknowledge: no conn write of a durable mutation's effect before the
-// persister synced), lockorder (acyclic static lock graph; no mutex
+// node log synced), lockorder (acyclic static lock graph; no mutex
 // held across a blocking call), jobrelease (every minted job namespace
 // is released on every exit path), and metricsafe (instrument lookups
 // hoisted out of hot loops; allocation-free nil-registry discard

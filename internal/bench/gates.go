@@ -15,6 +15,11 @@ package bench
 //     slower than single-threaded (beyond NumCPU the points measure
 //     scheduling overhead and are held to a bounded cost instead).
 //
+// The wire suite has one gate: a per-ack sync on a node holding 64
+// resident 64×64 blocks may cost at most gateSyncGrowth times one on an
+// empty node — the node log writes what changed, never the resident
+// state.
+//
 // Quick (CI smoke) runs use loosened thresholds: at n=128 the kernel's
 // cache blocking barely engages and thread overhead dominates, so the
 // quick gates only catch catastrophic breakage, not drift.
@@ -49,13 +54,18 @@ const (
 	// -quick runs (n=128, where per-panel overhead is proportionally
 	// large).
 	gateQuickOverhead = 0.50
+	// gateSyncGrowth bounds BenchmarkSync/resident=64 over resident=0.
+	gateSyncGrowth = 2.0
 )
 
-// CheckGates evaluates every regression gate against a kernels suite
-// and returns the violations (empty means the run passes). Non-kernel
-// suites have no gates.
+// CheckGates evaluates every regression gate of the file's suite and
+// returns the violations (empty means the run passes).
 func (f *RegressFile) CheckGates() []error {
-	if f.Suite != "kernels" {
+	switch f.Suite {
+	case "wire":
+		return f.checkSyncGate()
+	case "kernels":
+	default:
 		return nil
 	}
 	var errs []error
@@ -130,4 +140,16 @@ func (f *RegressFile) checkThreadGates() []error {
 		}
 	}
 	return errs
+}
+
+// checkSyncGate holds the per-ack sync cost flat in resident state.
+func (f *RegressFile) checkSyncGate() []error {
+	empty, full := f.Find("BenchmarkSync/resident=0"), f.Find("BenchmarkSync/resident=64")
+	if empty == nil || full == nil || empty.NsPerOp == 0 {
+		return []error{fmt.Errorf("gate: no BenchmarkSync resident=0/64 pair recorded")}
+	}
+	if ratio := full.NsPerOp / empty.NsPerOp; ratio > gateSyncGrowth {
+		return []error{fmt.Errorf("gate: a sync with 64 resident blocks costs %.2fx one with none, above the %.1fx bound", ratio, gateSyncGrowth)}
+	}
+	return nil
 }

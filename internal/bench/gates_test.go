@@ -120,10 +120,33 @@ func TestGatesQuickMode(t *testing.T) {
 	}
 }
 
-// TestGatesIgnoreNonKernelSuites pins that wire files are ungated.
+// TestGatesIgnoreNonKernelSuites pins that the kernel gates apply to
+// kernels files only: a wire file faces its own sync gate alone.
 func TestGatesIgnoreNonKernelSuites(t *testing.T) {
-	f := &RegressFile{Schema: 2, Suite: "wire"}
+	f := &RegressFile{Schema: 2, Suite: "wire", Results: []RegressResult{
+		{Name: "BenchmarkSync/resident=0", NsPerOp: 9000},
+		{Name: "BenchmarkSync/resident=64", NsPerOp: 9500},
+	}}
 	if errs := f.CheckGates(); len(errs) != 0 {
 		t.Fatalf("wire suite hit kernel gates: %v", errs)
+	}
+	if errs := (&RegressFile{Schema: 2, Suite: "sched"}).CheckGates(); len(errs) != 0 {
+		t.Fatalf("ungated suite reported violations: %v", errs)
+	}
+}
+
+// TestSyncGate pins the wire suite's gate: a per-ack sync may not grow
+// with resident state beyond 2x, and a file without the pair fails.
+func TestSyncGate(t *testing.T) {
+	f := &RegressFile{Schema: 2, Suite: "wire", Results: []RegressResult{
+		{Name: "BenchmarkSync/resident=0", NsPerOp: 9000},
+		{Name: "BenchmarkSync/resident=64", NsPerOp: 450000},
+	}}
+	if errs := f.CheckGates(); !hasViolation(errs, "above the 2.0x bound") {
+		t.Fatalf("50x sync growth passed the gate: %v", errs)
+	}
+	f.Results = f.Results[:1]
+	if errs := f.CheckGates(); !hasViolation(errs, "no BenchmarkSync") {
+		t.Fatalf("missing resident=64 row passed the gate: %v", errs)
 	}
 }

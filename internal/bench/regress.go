@@ -13,6 +13,7 @@ package bench
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"runtime"
 	"testing"
 
@@ -29,6 +30,7 @@ type RegressResult struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	GFlops      float64 `json:"gflops,omitempty"`
 	MBPerSec    float64 `json:"mb_per_s,omitempty"`
+	OpsPerSec   float64 `json:"ops_per_s,omitempty"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 }
@@ -274,7 +276,71 @@ func RegressWire(quick bool) (*RegressFile, error) {
 		})
 		f.Results = append(f.Results, withMBPerSec(res, snap))
 	}
+	return regressSync(f, quick)
+}
+
+// regressSync measures the node log's per-ack path — one hop-sized
+// durable change and its sync — with 0/4/16/64 resident 64×64 blocks
+// held as node variables (the cost must not grow with resident state),
+// and sync throughput with 1 and 8 concurrent callers (group commit
+// shares one write among concurrent syncs). Each measurement runs
+// against a fresh node log in a temporary directory.
+func regressSync(f *RegressFile, quick bool) (*RegressFile, error) {
+	residents := []int{0, 4, 16, 64}
+	if quick {
+		residents = []int{0, 64}
+	}
+	for _, k := range residents {
+		res, err := syncBenchmark(fmt.Sprintf("BenchmarkSync/resident=%d", k), k, 1)
+		if err != nil {
+			return nil, err
+		}
+		f.Results = append(f.Results, res)
+	}
+	for _, callers := range []int{1, 8} {
+		res, err := syncBenchmark(fmt.Sprintf("BenchmarkSyncCallers/callers=%d", callers), 0, callers)
+		if err != nil {
+			return nil, err
+		}
+		f.Results = append(f.Results, res)
+	}
 	return f, nil
+}
+
+// syncBenchmark times b.N syncs shared among callers goroutines on a
+// node holding resident 64×64 blocks; ns/op is wall time per sync.
+func syncBenchmark(name string, resident, callers int) (RegressResult, error) {
+	blocks := make([]any, resident)
+	for i := range blocks {
+		blocks[i] = regressBlockStateN(64)
+	}
+	var runErr error
+	res := benchmarked(name, func(b *testing.B) {
+		dir, err := os.MkdirTemp("", "navp-sync-bench-")
+		if err != nil {
+			runErr = err
+			return
+		}
+		defer os.RemoveAll(dir)
+		sb, err := wire.BenchSync(dir, blocks)
+		if err != nil {
+			runErr = err
+			return
+		}
+		defer sb.Close()
+		b.ResetTimer()
+		if err := sb.Run(b.N, callers); err != nil {
+			runErr = err
+		}
+		b.StopTimer()
+	})
+	if runErr != nil {
+		return res, fmt.Errorf("bench: %s: %w", name, runErr)
+	}
+	if res.NsPerOp > 0 {
+		res.OpsPerSec = 1e9 / res.NsPerOp
+	}
+	return res, nil
 }
 
 // Find returns the named result, or nil.

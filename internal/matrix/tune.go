@@ -92,7 +92,7 @@ func SaveTune(f *TuneFile) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	// Write-to-temp then rename, like the wire persister: a crash (or a
+	// Write-to-temp then rename, like wire node-log compaction: a crash (or a
 	// concurrent tuner on the same host) mid-write must never leave a
 	// truncated cache at the final path — rename on the same filesystem
 	// is atomic, so readers see the old file or the new one, never a

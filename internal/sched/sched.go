@@ -11,8 +11,8 @@
 // a job lifecycle whose results are retrievable exactly once, and
 // retry-with-budget on top of the wire checkpoint/recovery subsystem.
 // An HTTP API (Server) exposes submit/status/result/cancel beside the
-// cluster's /metrics, and LoadGen drives the whole stack closed-loop
-// for the BENCH_sched.json regression numbers.
+// cluster's /metrics, and RunOpenLoop drives it with seeded open-loop
+// Poisson arrivals for the BENCH_sched.json serving curves.
 package sched
 
 import (

@@ -28,7 +28,11 @@ type nodeState struct {
 	met     *wireMetrics
 	retain  int        // dedup high-water mark (Options.DedupRetain)
 	cancels *cancelSet // cluster-shared set of cancelled job namespaces
-	persist *persister // disk snapshots for multi-host daemons; nil in-process
+	persist *nodeLog   // append-only node log for multi-host daemons; nil in-process
+
+	// pend is the change set the node log has not written yet (guarded
+	// by mu, like the state it describes); nil when nothing persists.
+	pend *nodePending
 
 	mu        sync.Mutex
 	ckpt      map[uint64]*checkpoint // agent ID → last completed hop boundary
@@ -54,6 +58,7 @@ type nodeState struct {
 	reroutes     map[uint64]int          // agent ID → pinned stand-in for a departed destination
 	frozen       map[uint64]struct{}     // job namespaces parked at dispatch
 	parked       map[uint64]*parkedAgent // frozen agents awaiting thaw
+	sending      map[uint64]int          // agents whose hop-out frame is in flight (open sends)
 	draining     bool                    // evacuation in progress: residents re-migrate at dispatch
 	evacuated    bool                    // checkpoint store emptied; inbound agents refused
 	drained      bool                    // counters absorbed by a survivor; report zeros
@@ -88,8 +93,9 @@ type checkpoint struct {
 // cancelled agent lands (or replays after a crash), the daemon retires it
 // instead of running its step.
 type cancelSet struct {
-	mu sync.Mutex
-	m  map[uint64]struct{}
+	mu   sync.Mutex
+	m    map[uint64]struct{}
+	pend map[uint64]struct{} // marks changed since the last log batch; nil when not logged
 }
 
 func newCancelSet() *cancelSet { return &cancelSet{m: map[uint64]struct{}{}} }
@@ -101,6 +107,9 @@ func newCancelSet() *cancelSet { return &cancelSet{m: map[uint64]struct{}{}} }
 func (cs *cancelSet) cancel(job uint64) {
 	cs.mu.Lock()
 	cs.m[job] = struct{}{}
+	if cs.pend != nil {
+		cs.pend[job] = struct{}{}
+	}
 	cs.mu.Unlock()
 }
 
@@ -118,6 +127,9 @@ func (cs *cancelSet) cancelled(job uint64) bool {
 func (cs *cancelSet) release(job uint64) {
 	cs.mu.Lock()
 	delete(cs.m, job)
+	if cs.pend != nil {
+		cs.pend[job] = struct{}{}
+	}
 	cs.mu.Unlock()
 }
 
@@ -129,12 +141,14 @@ func newNodeState(id int, met *wireMetrics, retain int, cancels *cancelSet) *nod
 		perJob:     map[uint64]*counters{},
 		migrations: map[uint64]int{}, reroutes: map[uint64]int{},
 		frozen: map[uint64]struct{}{}, parked: map[uint64]*parkedAgent{},
+		sending:  map[uint64]int{},
 		absorbed: map[int]bool{}, absorbTarget: -1,
 	}
 }
 
 // jobCounters returns job's slice of the termination counters, creating
-// it on first use. Callers hold ns.mu. Entries are removed by releaseJob
+// it on first use. Callers hold ns.mu and update the slice, so it is
+// marked for the node log here. Entries are removed by releaseJob
 // once the scheduler is done with a namespace, so per-job bookkeeping
 // does not accumulate across a long-lived serving cluster.
 func (ns *nodeState) jobCounters(job uint64) *counters {
@@ -144,6 +158,7 @@ func (ns *nodeState) jobCounters(job uint64) *counters {
 		ns.perJob[job] = c
 		ns.met.jobsTracked.Add(1)
 	}
+	ns.pend.mark(pendJob, job)
 	return c
 }
 
@@ -156,6 +171,7 @@ func (ns *nodeState) releaseJob(job uint64) {
 	if _, ok := ns.perJob[job]; ok {
 		delete(ns.perJob, job)
 		ns.met.jobsTracked.Add(-1)
+		ns.pend.mark(pendJob, job)
 	}
 	ns.mu.Unlock()
 }
@@ -167,6 +183,7 @@ func (ns *nodeState) setLastHop(id, hop uint64) {
 		ns.met.dedupSize.Add(1)
 	}
 	ns.lastHop[id] = hop
+	ns.pend.mark(pendLastHop, id)
 }
 
 // putCkpt installs or replaces an agent's checkpoint, keeping the
@@ -176,6 +193,7 @@ func (ns *nodeState) putCkpt(id uint64, c *checkpoint) {
 		ns.met.ckptSize.Add(1)
 	}
 	ns.ckpt[id] = c
+	ns.pend.mark(pendCkpt, id)
 }
 
 // delCkpt removes an agent's checkpoint. Callers hold ns.mu.
@@ -183,6 +201,20 @@ func (ns *nodeState) delCkpt(id uint64) {
 	if _, ok := ns.ckpt[id]; ok {
 		ns.met.ckptSize.Add(-1)
 		delete(ns.ckpt, id)
+		ns.pend.mark(pendCkpt, id)
+	}
+}
+
+// dropPins forgets an agent's migration and reroute pins once it is
+// owned elsewhere or finished. Callers hold ns.mu.
+func (ns *nodeState) dropPins(id uint64) {
+	if _, ok := ns.migrations[id]; ok {
+		delete(ns.migrations, id)
+		ns.pend.mark(pendMigration, id)
+	}
+	if _, ok := ns.reroutes[id]; ok {
+		delete(ns.reroutes, id)
+		ns.pend.mark(pendReroute, id)
 	}
 }
 
@@ -222,21 +254,33 @@ func (ns *nodeState) delCkpt(id uint64) {
 //     (id, hop) pair no longer matches the table, so the stale queue
 //     entry is skipped and the newer retirement governs.
 func (ns *nodeState) retireDedup(id, hop uint64) {
-	ns.retired = append(ns.retired, dedupRetired{id: id, hop: hop})
+	ns.pushRetired(dedupRetired{id: id, hop: hop})
+	ns.pend.pushRetired(dedupRetired{id: id, hop: hop})
 	for len(ns.retired)-ns.retiredHead > ns.retain {
 		e := ns.retired[ns.retiredHead]
-		ns.retiredHead++
+		ns.popRetired(1)
+		ns.pend.popRetired()
 		if cur, ok := ns.lastHop[e.id]; ok && cur == e.hop {
 			delete(ns.lastHop, e.id)
 			ns.met.dedupSize.Add(-1)
 			ns.met.dedupEvicted.Inc()
+			ns.pend.mark(pendLastHop, e.id)
 		}
 	}
+}
+
+// pushRetired appends one entry to the retired FIFO. Callers hold ns.mu.
+func (ns *nodeState) pushRetired(e dedupRetired) { ns.retired = append(ns.retired, e) }
+
+// popRetired advances the retired FIFO's head by n entries (n is at most
+// the queue length). Callers hold ns.mu.
+func (ns *nodeState) popRetired(n int) {
+	ns.retiredHead += n
 	// Compact the drained prefix once it dominates the slice, so the
 	// queue's footprint stays proportional to the high-water mark.
 	if ns.retiredHead > ns.retain {
-		n := copy(ns.retired, ns.retired[ns.retiredHead:])
-		ns.retired = ns.retired[:n]
+		k := copy(ns.retired, ns.retired[ns.retiredHead:])
+		ns.retired = ns.retired[:k]
 		ns.retiredHead = 0
 	}
 }
@@ -268,6 +312,7 @@ func (ns *nodeState) newAgentID() uint64 {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
 	ns.nextAgent++
+	ns.pend.markTotals()
 	return uint64(ns.id)<<40 | ns.nextAgent
 }
 
@@ -292,6 +337,7 @@ func (ns *nodeState) inject(msg *agentMsg) (arrivals int64, err error) {
 	ns.created++
 	ns.jobCounters(msg.Job).Created++
 	ns.arrivals++
+	ns.pend.markTotals()
 	ns.met.agentsInjected.Inc()
 	ns.setLastHop(msg.ID, msg.Hop)
 	ns.putCkpt(msg.ID, &checkpoint{behavior: msg.Behavior, hop: msg.Hop, job: msg.Job, state: snap})
@@ -338,6 +384,7 @@ func (ns *nodeState) accept(msg *agentMsg) (dup bool, arrivals int64, err error)
 	ns.received++
 	ns.jobCounters(msg.Job).Received++
 	ns.arrivals++
+	ns.pend.markTotals()
 	ns.setLastHop(msg.ID, msg.Hop)
 	ns.putCkpt(msg.ID, &checkpoint{behavior: msg.Behavior, hop: msg.Hop, job: msg.Job, state: snap})
 	return false, ns.arrivals, nil
@@ -391,11 +438,11 @@ func (ns *nodeState) ackDelivered(id, prevHop uint64) bool {
 	ns.delCkpt(id)
 	ns.sent++
 	ns.jobCounters(cur.job).Sent++
+	ns.pend.markTotals()
 	// The agent is now owned downstream: its pinned migration and
 	// reroute choices are spent, and its dedup entry here starts its
 	// high-water retirement countdown.
-	delete(ns.migrations, id)
-	delete(ns.reroutes, id)
+	ns.dropPins(id)
 	ns.retireDedup(id, prevHop)
 	return true
 }
@@ -412,9 +459,9 @@ func (ns *nodeState) complete(id, hop uint64) bool {
 	ns.delCkpt(id)
 	ns.finished++
 	ns.jobCounters(cur.job).Finished++
+	ns.pend.markTotals()
 	ns.met.agentsCompleted.Inc()
-	delete(ns.migrations, id)
-	delete(ns.reroutes, id)
+	ns.dropPins(id)
 	// Terminal retirement: the finished agent's dedup entry is queued
 	// for eviction rather than deleted outright, so late duplicates of
 	// its final inbound hop are still recognized for a further `retain`

@@ -423,7 +423,7 @@ func (cl *Cluster) CancelJob(job uint64) {
 	}
 }
 
-// syncAll persists every node's current image — the coordinator-side
+// syncAll persists every node's pending changes — the coordinator-side
 // persist-before-externalize step for mutations of shared durable
 // state (the cancel set, per-job counter slices) that a control frame
 // is about to externalize. Best-effort: a failed sync only delays

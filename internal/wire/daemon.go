@@ -80,7 +80,7 @@ func (d *daemon) serve() {
 // replier writes reply envelopes back on one inbound connection. It is
 // the only path by which a daemon externalizes the outcome of inbound
 // traffic — hop acks, msgOK control replies, snapshots — so the
-// persist-before-acknowledge ordering (sync the node image, then send)
+// persist-before-acknowledge ordering (sync the node log, then send)
 // is a property of where send is called, and navplint's syncorder
 // analyzer checks exactly that: send on a path carrying an unsynced
 // durable mutation is a diagnostic.
@@ -141,10 +141,10 @@ func (d *daemon) handle(conn net.Conn) {
 				// agent exists here, which is what makes its reroute to a
 				// live member exactly-once safe. The refusal itself
 				// mutates nothing, but the sync is unconditional — like
-				// the dup-ack sync below, it persists an unchanged image
-				// (coalesced by the persister) so the
-				// persist-before-acknowledge ordering holds on every
-				// path of this loop, not just the accepting ones.
+				// the dup-ack sync below, it flushes whatever other
+				// mutations are pending (with none, it writes nothing)
+				// so the persist-before-acknowledge ordering holds on
+				// every path of this loop, not just the accepting ones.
 				d.node.met.framesRefused.Inc()
 				if err := d.node.sync(); err != nil {
 					d.fail(err)
@@ -162,8 +162,8 @@ func (d *daemon) handle(conn net.Conn) {
 			// Persist the acceptance BEFORE acknowledging it: once the
 			// ack is out, the sender retires its checkpoint and this
 			// node owns the only durable copy of the agent. The sync is
-			// unconditional — on a duplicate it persists an unchanged
-			// image, which the persister coalesces — so the
+			// unconditional — on a duplicate nothing of this frame is
+			// pending and the log writes nothing for it — so the
 			// persist-before-acknowledge ordering holds on every path,
 			// not just the ones that happen to correlate with !dup.
 			if err := d.node.sync(); err != nil {
@@ -255,7 +255,7 @@ func (d *daemon) handleControl(env *envelope, rp *replier) bool {
 			return ok(err)
 		}
 		members := d.members.list()
-		d.broadcastMembers(members)
+		d.broadcastMembers(members, id)
 		return rp.send(&envelope{Kind: msgMembers, Members: members, You: id})
 	case msgMembers:
 		if err := d.members.update(env.Members); err != nil {
@@ -387,22 +387,31 @@ func (d *daemon) forwardJoin(joinAddr string) (*envelope, error) {
 	return rep, nil
 }
 
-// broadcastMembers pushes an updated membership list to every other
-// member, best-effort and asynchronous: a member that misses the
-// broadcast learns the list when the joiner's first hop dials it, or on
-// the next join. The joiner itself gets the list in its join reply.
-func (d *daemon) broadcastMembers(members []string) {
+// broadcastMembers pushes an updated membership list to every member
+// but this one and the joiner (which gets the list in its join reply,
+// and is not serving yet), and returns once each reachable member has
+// adopted it — so when the join reply leaves, every member already
+// resolves the joiner, and a client discovering the cluster through any
+// member sees the grown view. Members are updated concurrently, each
+// wait bounded by AckTimeout; an unreachable member stays best-effort
+// and learns the list when the joiner's first hop dials it, or on the
+// next join.
+func (d *daemon) broadcastMembers(members []string, joiner int) {
+	var wg sync.WaitGroup
 	for i, addr := range members {
-		if i == d.id || addr == "" {
+		if i == d.id || i == joiner || addr == "" {
 			continue
 		}
 		addr := addr
+		wg.Add(1)
 		go func() {
+			defer wg.Done()
 			c := &ctlConn{addr: addr}
 			defer c.close()
 			c.roundTrip(&envelope{Kind: msgMembers, Members: members, You: -1}, d.opts.AckTimeout)
 		}()
 	}
+	wg.Wait()
 }
 
 // drain evacuates this node and retires it from the cluster: every
@@ -547,7 +556,7 @@ func (d *daemon) injectLocal(job uint64, behaviorName string, state any) error {
 	// Sync unconditionally, even when inject failed: a failed injection
 	// can still have advanced durable counters before erroring, and the
 	// coordinator's error reply is an acknowledgement like any other —
-	// nothing is externalized before the image is safe on disk.
+	// nothing is externalized before the node log holds it.
 	arrivals, err := d.node.inject(msg)
 	if serr := d.node.sync(); err == nil {
 		err = serr
@@ -616,7 +625,7 @@ func (d *daemon) startStep(msg *agentMsg, replay bool) {
 		// it there). Each branch ships the agent as a synthetic hop.
 		if dst, ok := d.node.migrateTarget(msg.ID); ok && dst != d.id {
 			// The pin was persisted before the msgMigrated reply (or by a
-			// replayed image); ship without re-syncing.
+			// replayed log); ship without re-syncing.
 			d.migrateOut(msg, dst, "migrate")
 			return
 		}
@@ -669,7 +678,11 @@ func (d *daemon) startStep(msg *agentMsg, replay bool) {
 			// step's own hop wins. The clearance must be durable BEFORE the
 			// frame ships: a crashed-and-replayed sender that resurrected
 			// the pin would migrate (id, h+1) to a second destination while
-			// the first may already have accepted this send.
+			// the first may already have accepted this send. The send is
+			// opened first, so a mark either lands before the check (and
+			// is cleared) or is refused while the frame is in flight.
+			d.node.beginSend(msg.ID)
+			defer d.node.endSend(msg.ID)
 			if _, marked := d.node.migrateTarget(msg.ID); marked {
 				d.node.clearMigration(msg.ID)
 				if err := d.node.sync(); err != nil {
@@ -872,9 +885,9 @@ func (d *daemon) reroute(msg *agentMsg, failed int) int {
 	return nd
 }
 
-// syncLazily persists the node image after an internal transition
-// (checkpoint retirement, completion, local rehop). Unlike the
-// pre-acknowledgement sync these are promptness-only — a crash that
+// syncLazily persists the node's pending changes after an internal
+// transition (checkpoint retirement, completion, local rehop). Unlike
+// the pre-acknowledgement sync these are promptness-only — a crash that
 // loses one merely re-runs a step from its hop boundary — but a
 // persistence failure is still a loud one.
 func (d *daemon) syncLazily() {

@@ -177,10 +177,10 @@ func TestDrainNodeEvacuatesAndReroutes(t *testing.T) {
 	}
 }
 
-// TestElasticStateSurvivesPersistRoundTrip pins the schema-2 image:
-// every destination pin, freeze mark, drain flag, and absorb record
-// must round-trip, or a crashed node would forget decisions it already
-// acted on.
+// TestElasticStateSurvivesPersistRoundTrip pins the elastic records of
+// the node log: every destination pin, freeze mark, drain flag, and
+// absorb record must round-trip, or a crashed node would forget
+// decisions it already acted on.
 func TestElasticStateSurvivesPersistRoundTrip(t *testing.T) {
 	met := newWireMetrics(metrics.NewRegistry())
 	src := newNodeState(3, met, 64, newCancelSet())
@@ -197,12 +197,14 @@ func TestElasticStateSurvivesPersistRoundTrip(t *testing.T) {
 		t.Fatalf("pinAbsorbTarget = %d, want 1", got)
 	}
 
-	img, err := src.export()
+	dir := t.TempDir()
+	l, err := openNodeLog(dir, src)
 	if err != nil {
 		t.Fatal(err)
 	}
+	l.close()
 	dst := newNodeState(3, newWireMetrics(metrics.NewRegistry()), 64, newCancelSet())
-	if err := dst.restore(img); err != nil {
+	if _, err := openNodeLog(dir, dst); err != nil {
 		t.Fatal(err)
 	}
 	for id, want := range map[uint64]int{11: 1, 12: 2} {
@@ -340,6 +342,12 @@ func TestRemoteElasticGrowMigrateDrain(t *testing.T) {
 	if err := rc.FreezeJob(job); err != nil {
 		t.Fatal(err)
 	}
+	// Only a parked agent is a resident to mark: while its hop is in
+	// flight the sender refuses the mark and the receiver may not hold
+	// it yet. Wait for the park, as the in-process twin test does.
+	waitFor(t, "the agent to park", func() bool {
+		return h0.daemon.node.parkedCount()+h1.daemon.node.parkedCount() == 1
+	})
 	movedTotal := 0
 	for node := 0; node < 2; node++ {
 		n, err := rc.MigrateAgents(node, 2, job, 0)
@@ -369,4 +377,24 @@ func TestRemoteElasticGrowMigrateDrain(t *testing.T) {
 		t.Fatalf("job lost across grow/migrate/drain: %v", err)
 	}
 	rc.ReleaseJob(job)
+}
+
+// TestMigrationMarkRefusedWhileHopInFlight: an agent whose hop-out frame
+// is in flight is not a resident to migrate. Its checkpoint here only
+// awaits the destination's ack; a pin on it would send a crashed-and-
+// replayed copy of the hop to a second destination.
+func TestMigrationMarkRefusedWhileHopInFlight(t *testing.T) {
+	ns := newNodeState(0, newWireMetrics(metrics.NewRegistry()), 64, newCancelSet())
+	const id = 1<<40 | 9
+	if _, err := ns.inject(&agentMsg{ID: id, Job: 4, Behavior: "ring", State: &ringState{Laps: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	ns.beginSend(id)
+	if marked := ns.markMigrations(2, 0, 0); len(marked) != 0 {
+		t.Fatalf("marked %v while its hop was in flight", marked)
+	}
+	ns.endSend(id)
+	if marked := ns.markMigrations(2, 0, 0); len(marked) != 1 || marked[0] != id {
+		t.Fatalf("marked %v once the send closed, want [%d]", marked, id)
+	}
 }

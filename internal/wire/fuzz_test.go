@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -250,4 +251,95 @@ func TestFuzzSeedsNeverPanic(t *testing.T) {
 			t.Fatalf("seed %d: nil envelope without error", i)
 		}
 	}
+}
+
+// nodeLogSeeds builds one well-formed node log per record kind (header
+// plus one batch holding that record, preceded by what it needs to be
+// valid), then a torn and a garbled copy of the richest one.
+func nodeLogSeeds(t testing.TB) [][]byte {
+	t.Helper()
+	enc, err := encodeState(int64(42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := map[recKind]func(b *recBuf){
+		recTotals: func(b *recBuf) {
+			b.kind(recTotals)
+			b.counters(counters{Created: 3, Finished: 2, Sent: 5, Received: 4})
+			b.u(9)
+			b.i(7)
+		},
+		recJob:        func(b *recBuf) { b.key(recJob, 7); b.counters(counters{Created: 1, Sent: 1}) },
+		recJobDel:     func(b *recBuf) { b.key(recJobDel, 7) },
+		recCkpt:       func(b *recBuf) { b.ckpt(1<<40|3, &checkpoint{behavior: "ring", hop: 2, job: 7, state: enc}) },
+		recCkptDel:    func(b *recBuf) { b.key(recCkptDel, 1<<40|3) },
+		recLastHop:    func(b *recBuf) { b.key(recLastHop, 1<<40|3); b.u(2) },
+		recLastHopDel: func(b *recBuf) { b.key(recLastHopDel, 1<<40|3) },
+		recRetired:    func(b *recBuf) { b.key(recRetired, 1<<40|3); b.u(2) },
+		recRetiredPop: func(b *recBuf) {
+			b.key(recRetired, 1<<40|3)
+			b.u(2)
+			b.key(recRetiredPop, 1)
+		},
+		recMigration:    func(b *recBuf) { b.key(recMigration, 1<<40|3); b.u(1) },
+		recMigrationDel: func(b *recBuf) { b.key(recMigrationDel, 1<<40|3) },
+		recReroute:      func(b *recBuf) { b.key(recReroute, 1<<40|3); b.u(2) },
+		recRerouteDel:   func(b *recBuf) { b.key(recRerouteDel, 1<<40|3) },
+		recFreeze:       func(b *recBuf) { b.key(recFreeze, 7) },
+		recThaw:         func(b *recBuf) { b.key(recThaw, 7) },
+		recFlags:        func(b *recBuf) { b.kind(recFlags); b.u(flagDraining | flagEvacuated); b.u(2) },
+		recAbsorbed:     func(b *recBuf) { b.kind(recAbsorbed); b.i(3) },
+		recVar:          func(b *recBuf) { b.kind(recVar); b.str("job.7.x"); b.bytes(enc) },
+		recVarDelPrefix: func(b *recBuf) { b.kind(recVarDelPrefix); b.str("job.7.") },
+		recCancel:       func(b *recBuf) { b.key(recCancel, 7) },
+		recCancelDel:    func(b *recBuf) { b.key(recCancelDel, 7) },
+	}
+	header := append([]byte(logMagic), 0, 0, 0, 0)
+	batch := func(write func(b *recBuf)) []byte {
+		b := &recBuf{b: make([]byte, batchHeaderLen)}
+		write(b)
+		sealBatch(b.b)
+		return b.b
+	}
+	var seeds [][]byte
+	all := append([]byte(nil), header...)
+	for k := recKind(1); k < numRecKinds; k++ {
+		write, ok := records[k]
+		if !ok {
+			t.Fatalf("no fuzz seed for record kind %d", k)
+		}
+		seeds = append(seeds, append(append([]byte(nil), header...), batch(write)...))
+		all = append(all, batch(write)...)
+	}
+	garbled := append([]byte(nil), all...)
+	garbled[len(garbled)/2] ^= 0x5a
+	return append(seeds, all, all[:len(all)-3], garbled, header, []byte(logMagic))
+}
+
+// FuzzLoadNodeLog: hostile or torn log bytes return an error or load a
+// valid prefix state — one that compacts and reloads to itself — and
+// never panic.
+func FuzzLoadNodeLog(f *testing.F) {
+	for _, seed := range nodeLogSeeds(f) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ns := newTestNode(0)
+		if err := loadNodeLog(data, ns); err != nil {
+			return
+		}
+		b := &recBuf{b: append([]byte(logMagic), 0, 0, 0, 0)}
+		b.b = append(b.b, make([]byte, batchHeaderLen)...)
+		if err := ns.snapshotRecords(b); err != nil {
+			t.Fatalf("loaded state does not compact: %v", err)
+		}
+		sealBatch(b.b[logHeaderLen:])
+		again := newTestNode(0)
+		if err := loadNodeLog(b.b, again); err != nil {
+			t.Fatalf("compacted image of a loaded state does not load: %v", err)
+		}
+		if got, want := viewOf(again), viewOf(ns); !reflect.DeepEqual(got, want) {
+			t.Fatalf("compacted reload differs:\n got %+v\nwant %+v", got, want)
+		}
+	})
 }

@@ -16,7 +16,7 @@ import (
 // simulates. The durable half of the node (counters, checkpoints,
 // variables, cancellation marks) lives in a state directory on the
 // host's disk; the daemon incarnation is disposable, and kill -9 merely
-// forces the next incarnation to reload the snapshot and replay its
+// forces the next incarnation to replay the node log and re-inject its
 // checkpointed agents — exactly what the in-process monitor does after
 // an injected kill, but across a process boundary.
 //
@@ -47,7 +47,7 @@ type HostConfig struct {
 	// Join is the address of any live member to join through. The host's
 	// node id is assigned by the cluster.
 	Join string
-	// StateDir is where the node persists its snapshot; empty disables
+	// StateDir is where the node keeps its log; empty disables
 	// persistence (a kill then loses the node, which only tests want).
 	StateDir string
 	// Options carries the wire runtime knobs (timeouts, metrics, fault
@@ -116,27 +116,10 @@ func StartHost(cfg HostConfig) (*Host, error) {
 	met := newWireMetrics(opts.Metrics)
 	node := newNodeState(id, met, opts.DedupRetain, newCancelSet())
 	if cfg.StateDir != "" {
-		p, err := newPersister(cfg.StateDir)
-		if err != nil {
+		if _, err := openNodeLog(cfg.StateDir, node); err != nil {
 			ln.Close()
 			return nil, err
 		}
-		img, found, err := p.load()
-		if err != nil {
-			ln.Close()
-			return nil, err
-		}
-		if found {
-			if img.Node != id {
-				ln.Close()
-				return nil, fmt.Errorf("wire: state dir %s belongs to node %d, not %d", cfg.StateDir, img.Node, id)
-			}
-			if err := node.restore(img); err != nil {
-				ln.Close()
-				return nil, err
-			}
-		}
-		node.persist = p
 	}
 
 	errs := make(chan error, 16)
@@ -145,7 +128,7 @@ func StartHost(cfg HostConfig) (*Host, error) {
 	h.daemon = newDaemon(id, members, ln, node, &opts, errs, sink)
 	go h.daemon.serve()
 
-	// Replay checkpointed agents from the reloaded snapshot — the
+	// Replay checkpointed agents from the reloaded log — the
 	// recovery half of application-initiated checkpointing, across a
 	// process death instead of an in-process kill.
 	msgs, err := node.replayMessages()
@@ -237,9 +220,14 @@ func (h *Host) WaitShutdown() error {
 // Metrics exposes the host's metric registry.
 func (h *Host) Metrics() *metrics.Registry { return h.daemon.opts.Metrics }
 
-// Close terminates the daemon incarnation. The state directory — the
-// node — survives.
-func (h *Host) Close() { h.daemon.terminate() }
+// Close terminates the daemon incarnation and closes its node log. The
+// state directory — the node — survives.
+func (h *Host) Close() {
+	h.daemon.terminate()
+	if l := h.daemon.node.persist; l != nil {
+		l.close()
+	}
+}
 
 // Environment-variable configuration for re-exec'd host processes. A
 // parent (paperbench, a test binary) sets HostModeEnv and spawns its own

@@ -48,6 +48,11 @@ const (
 	MetricAgentsParked   = "wire.agents.parked"
 	MetricFramesRefused  = "wire.frames.refused"
 	MetricDrains         = "wire.drains"
+	// Node log (DESIGN.md §13.2): bytes written (appended batches and
+	// compacted images), batches appended, and compactions.
+	MetricLogBytes       = "wire.log.bytes"
+	MetricLogBatches     = "wire.log.batches"
+	MetricLogCompactions = "wire.log.compactions"
 )
 
 // wireMetrics holds the pre-resolved metric handles shared by every
@@ -70,6 +75,9 @@ type wireMetrics struct {
 	agentsRerouted  *metrics.Counter
 	framesRefused   *metrics.Counter
 	drains          *metrics.Counter
+	logBytes        *metrics.Counter
+	logBatches      *metrics.Counter
+	logCompactions  *metrics.Counter
 	dedupSize       *metrics.Gauge
 	ckptSize        *metrics.Gauge
 	inboundConns    *metrics.Gauge
@@ -101,6 +109,9 @@ func newWireMetrics(r *metrics.Registry) *wireMetrics {
 		agentsRerouted:  r.Counter(MetricAgentsRerouted),
 		framesRefused:   r.Counter(MetricFramesRefused),
 		drains:          r.Counter(MetricDrains),
+		logBytes:        r.Counter(MetricLogBytes),
+		logBatches:      r.Counter(MetricLogBatches),
+		logCompactions:  r.Counter(MetricLogCompactions),
 		dedupSize:       r.Gauge(MetricDedupSize),
 		ckptSize:        r.Gauge(MetricCheckpoints),
 		inboundConns:    r.Gauge(MetricInboundConns),

@@ -29,8 +29,11 @@ type parkedAgent struct {
 }
 
 // markMigrations pins up to max resident agents (all of them when max
-// is 0) for migration to dst, skipping agents already marked and — when
-// job is nonzero — agents of other namespaces. Returns the marked IDs
+// is 0) for migration to dst, skipping agents already marked, agents
+// whose hop-out frame is in flight (their checkpoint here only awaits
+// the destination's ack, and a pin on it would ship a crashed-and-
+// replayed copy of the hop to a second destination), and — when job is
+// nonzero — agents of other namespaces. Returns the marked IDs
 // so the caller can nudge parked agents back through dispatch. The
 // marks are part of the persisted image; the caller syncs before
 // acknowledging.
@@ -50,7 +53,11 @@ func (ns *nodeState) markMigrations(dst int, job uint64, max int) []uint64 {
 		if _, ok := ns.migrations[id]; ok {
 			continue
 		}
+		if ns.sending[id] > 0 {
+			continue
+		}
 		ns.migrations[id] = dst
+		ns.pend.mark(pendMigration, id)
 		marked = append(marked, id)
 	}
 	return marked
@@ -69,6 +76,7 @@ func (ns *nodeState) assignMigration(id uint64, dst int) int {
 		return cur
 	}
 	ns.migrations[id] = dst
+	ns.pend.mark(pendMigration, id)
 	return dst
 }
 
@@ -87,6 +95,25 @@ func (ns *nodeState) migrateTarget(id uint64) (int, bool) {
 func (ns *nodeState) clearMigration(id uint64) {
 	ns.mu.Lock()
 	delete(ns.migrations, id)
+	ns.pend.mark(pendMigration, id)
+	ns.mu.Unlock()
+}
+
+// beginSend opens a send of agent id's hop-out frame; endSend closes
+// it. Open sends are runtime state, not persisted: a crash ends them,
+// and replay re-runs the step. Counted, so a killed incarnation's
+// unwinding send cannot close its replacement's.
+func (ns *nodeState) beginSend(id uint64) {
+	ns.mu.Lock()
+	ns.sending[id]++
+	ns.mu.Unlock()
+}
+
+func (ns *nodeState) endSend(id uint64) {
+	ns.mu.Lock()
+	if ns.sending[id]--; ns.sending[id] <= 0 {
+		delete(ns.sending, id)
+	}
 	ns.mu.Unlock()
 }
 
@@ -111,6 +138,7 @@ func (ns *nodeState) rerouteFor(id uint64) (int, bool) {
 func (ns *nodeState) pinReroute(id uint64, dst int) {
 	ns.mu.Lock()
 	ns.reroutes[id] = dst
+	ns.pend.mark(pendReroute, id)
 	ns.mu.Unlock()
 }
 
@@ -122,6 +150,7 @@ func (ns *nodeState) pinReroute(id uint64, dst int) {
 func (ns *nodeState) freeze(job uint64) {
 	ns.mu.Lock()
 	ns.frozen[job] = struct{}{}
+	ns.pend.mark(pendFrozen, job)
 	ns.mu.Unlock()
 }
 
@@ -157,6 +186,7 @@ func (ns *nodeState) thaw(job uint64) []*parkedAgent {
 	defer ns.mu.Unlock()
 	if job != 0 {
 		delete(ns.frozen, job)
+		ns.pend.mark(pendFrozen, job)
 	}
 	var out []*parkedAgent
 	for id, p := range ns.parked {
@@ -208,6 +238,7 @@ func (ns *nodeState) sweepStaleMarks() {
 	for id := range ns.migrations {
 		if _, ok := ns.ckpt[id]; !ok {
 			delete(ns.migrations, id)
+			ns.pend.mark(pendMigration, id)
 		}
 	}
 	ns.mu.Unlock()
@@ -222,6 +253,7 @@ func (ns *nodeState) sweepStaleMarks() {
 func (ns *nodeState) setDraining(v bool) {
 	ns.mu.Lock()
 	ns.draining = v
+	ns.pend.markFlags()
 	ns.mu.Unlock()
 }
 
@@ -235,6 +267,7 @@ func (ns *nodeState) isDraining() bool {
 func (ns *nodeState) setEvacuated(v bool) {
 	ns.mu.Lock()
 	ns.evacuated = v
+	ns.pend.markFlags()
 	ns.mu.Unlock()
 }
 
@@ -248,6 +281,7 @@ func (ns *nodeState) isEvacuated() bool {
 func (ns *nodeState) setDrained() {
 	ns.mu.Lock()
 	ns.drained = true
+	ns.pend.markFlags()
 	ns.mu.Unlock()
 }
 
@@ -271,6 +305,7 @@ func (ns *nodeState) pinAbsorbTarget(pick func() int) int {
 		return ns.absorbTarget
 	}
 	ns.absorbTarget = pick()
+	ns.pend.markFlags()
 	return ns.absorbTarget
 }
 
@@ -302,10 +337,12 @@ func (ns *nodeState) absorb(src int, total counters, perJob map[uint64]counters)
 		return false
 	}
 	ns.absorbed[src] = true
+	ns.pend.mark(pendAbsorbed, uint64(src))
 	ns.created += total.Created
 	ns.finished += total.Finished
 	ns.sent += total.Sent
 	ns.received += total.Received
+	ns.pend.markTotals()
 	for job, c := range perJob {
 		ns.jobCounters(job).add(c)
 	}

@@ -44,6 +44,7 @@ package wire
 import (
 	"encoding/gob"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -129,7 +130,9 @@ func (c *Ctx) Get(name string) any { return c.daemon.node.vars.get(name) }
 
 // Set assigns a node variable. Node variables are node-resident state:
 // they survive daemon restarts, and a step replayed after a crash
-// re-assigns the same values, so writes should be idempotent.
+// re-assigns the same values, so writes should be idempotent. On a
+// persistent host the value is encoded once, here: mutate a stored
+// value in place and the change is not durable until the next Set.
 func (c *Ctx) Set(name string, v any) { c.daemon.node.vars.set(name, v) }
 
 // Wait blocks until the named node-local event has a pending signal,
@@ -171,6 +174,23 @@ func (c *Ctx) Done() Verdict { return Verdict{stop: true} }
 type store struct {
 	mu sync.Mutex
 	m  map[string]any
+
+	// Node-log state, all nil when the node does not persist. enc holds
+	// each variable's encoding, made once at set time; pend lists the
+	// sets and prefix deletes the log has not written yet, in order;
+	// encErr is the first set whose value would not encode, reported by
+	// the next log batch.
+	enc    map[string][]byte
+	pend   []varOp
+	encErr error
+}
+
+// varOp is one pending variable change: a set (enc non-nil, or the
+// encoding of a nil value) or a prefix delete.
+type varOp struct {
+	name   string
+	enc    []byte
+	delete bool
 }
 
 func newStore() *store { return &store{m: map[string]any{}} }
@@ -182,14 +202,33 @@ func (s *store) get(name string) any {
 }
 
 // set writes one variable. Variables are part of the persisted node
-// image, so a set must reach the persister before any reply that
-// implies it happened.
+// state, so a set must reach the node log before any reply that implies
+// it happened.
 //
 //navplint:fact durable
 func (s *store) set(name string, v any) {
+	var b []byte
+	var err error
+	if s.logged() {
+		b, err = encodeState(v)
+	}
 	s.mu.Lock()
 	s.m[name] = v
+	if s.enc != nil {
+		if err != nil && s.encErr == nil {
+			s.encErr = fmt.Errorf("wire: persist variable %q: %w", name, err)
+		}
+		s.enc[name] = b
+		s.pend = append(s.pend, varOp{name: name, enc: b})
+	}
 	s.mu.Unlock()
+}
+
+// logged reports whether the table is persisted by a node log.
+func (s *store) logged() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.enc != nil
 }
 
 // deletePrefix removes every variable whose name begins with prefix.
@@ -199,9 +238,13 @@ func (s *store) set(name string, v any) {
 func (s *store) deletePrefix(prefix string) {
 	s.mu.Lock()
 	for name := range s.m {
-		if len(name) >= len(prefix) && name[:len(prefix)] == prefix {
+		if strings.HasPrefix(name, prefix) {
 			delete(s.m, name)
+			delete(s.enc, name)
 		}
+	}
+	if s.enc != nil {
+		s.pend = append(s.pend, varOp{name: prefix, delete: true})
 	}
 	s.mu.Unlock()
 }
