@@ -15,10 +15,18 @@ package bench
 //     slower than single-threaded (beyond NumCPU the points measure
 //     scheduling overhead and are held to a bounded cost instead).
 //
-// The wire suite has one gate: a per-ack sync on a node holding 64
-// resident 64×64 blocks may cost at most gateSyncGrowth times one on an
-// empty node — the node log writes what changed, never the resident
-// state.
+// The wire suite's gates:
+//
+//   - a per-ack sync on a node holding 64 resident 64×64 blocks may cost
+//     at most gateSyncGrowth times one on an empty node — the node log
+//     writes what changed, never the resident state;
+//   - decoding a payload-free control frame may make at most
+//     gateControlAllocs allocations, and decoding an agent frame at most
+//     gateFrameAllocs more than decoding its state alone — the envelope
+//     is a fixed binary layout, not a reflection walk. Allocation counts
+//     are deterministic, so these hold in quick runs too;
+//   - a control-frame decode may cost at most 1/gateControlSpeedup of a
+//     small agent-frame decode (full runs only).
 //
 // Quick (CI smoke) runs use loosened thresholds: at n=128 the kernel's
 // cache blocking barely engages and thread overhead dominates, so the
@@ -56,6 +64,14 @@ const (
 	gateQuickOverhead = 0.50
 	// gateSyncGrowth bounds BenchmarkSync/resident=64 over resident=0.
 	gateSyncGrowth = 2.0
+	// gateControlAllocs bounds BenchmarkDecodeFrame/control allocations.
+	gateControlAllocs = 4
+	// gateFrameAllocs bounds an agent frame's decode allocations beyond
+	// those of decoding its state (BenchmarkCheckpointStateDecode).
+	gateFrameAllocs = 8
+	// gateControlSpeedup is the required ns/op ratio of a small agent
+	// frame's decode over a control frame's.
+	gateControlSpeedup = 10.0
 )
 
 // CheckGates evaluates every regression gate of the file's suite and
@@ -63,7 +79,7 @@ const (
 func (f *RegressFile) CheckGates() []error {
 	switch f.Suite {
 	case "wire":
-		return f.checkSyncGate()
+		return append(f.checkSyncGate(), f.checkCodecGates()...)
 	case "kernels":
 	default:
 		return nil
@@ -152,4 +168,50 @@ func (f *RegressFile) checkSyncGate() []error {
 		return []error{fmt.Errorf("gate: a sync with 64 resident blocks costs %.2fx one with none, above the %.1fx bound", ratio, gateSyncGrowth)}
 	}
 	return nil
+}
+
+// checkCodecGates holds the frame envelope's decode cost to its fixed
+// layout: control frames near-free, agent frames no dearer than their
+// payload plus a constant.
+func (f *RegressFile) checkCodecGates() []error {
+	var errs []error
+	fail := func(format string, args ...any) {
+		errs = append(errs, fmt.Errorf("gate: "+format, args...))
+	}
+	control := f.Find("BenchmarkDecodeFrame/control")
+	if control == nil {
+		return []error{fmt.Errorf("gate: no BenchmarkDecodeFrame/control row recorded")}
+	}
+	if control.AllocsPerOp > gateControlAllocs {
+		fail("a control-frame decode makes %d allocations, above the %d bound", control.AllocsPerOp, gateControlAllocs)
+	}
+	cases := 0
+	for _, r := range f.Results {
+		c, ok := strings.CutPrefix(r.Name, "BenchmarkDecodeFrame/")
+		if !ok || c == "control" {
+			continue
+		}
+		state := f.Find("BenchmarkCheckpointStateDecode/" + c)
+		if state == nil {
+			fail("no BenchmarkCheckpointStateDecode/%s row to bound BenchmarkDecodeFrame/%s", c, c)
+			continue
+		}
+		cases++
+		if r.AllocsPerOp > state.AllocsPerOp+gateFrameAllocs {
+			fail("decoding the %s agent frame makes %d allocations, above its state's %d + %d", c, r.AllocsPerOp, state.AllocsPerOp, gateFrameAllocs)
+		}
+	}
+	if cases == 0 {
+		fail("no agent-frame decode rows recorded")
+	}
+	if f.Quick {
+		return errs
+	}
+	switch small := f.Find("BenchmarkDecodeFrame/small"); {
+	case small == nil:
+		fail("no BenchmarkDecodeFrame/small row to compare the control frame with")
+	case control.NsPerOp*gateControlSpeedup > small.NsPerOp:
+		fail("a control-frame decode costs %.0f ns, above 1/%.0f of the small agent frame's %.0f ns", control.NsPerOp, gateControlSpeedup, small.NsPerOp)
+	}
+	return errs
 }

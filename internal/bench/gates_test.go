@@ -123,10 +123,10 @@ func TestGatesQuickMode(t *testing.T) {
 // TestGatesIgnoreNonKernelSuites pins that the kernel gates apply to
 // kernels files only: a wire file faces its own sync gate alone.
 func TestGatesIgnoreNonKernelSuites(t *testing.T) {
-	f := &RegressFile{Schema: 2, Suite: "wire", Results: []RegressResult{
+	f := &RegressFile{Schema: 2, Suite: "wire", Results: append(codecRows(), []RegressResult{
 		{Name: "BenchmarkSync/resident=0", NsPerOp: 9000},
 		{Name: "BenchmarkSync/resident=64", NsPerOp: 9500},
-	}}
+	}...)}
 	if errs := f.CheckGates(); len(errs) != 0 {
 		t.Fatalf("wire suite hit kernel gates: %v", errs)
 	}
@@ -142,11 +142,57 @@ func TestSyncGate(t *testing.T) {
 		{Name: "BenchmarkSync/resident=0", NsPerOp: 9000},
 		{Name: "BenchmarkSync/resident=64", NsPerOp: 450000},
 	}}
+	f.Results = append(f.Results, codecRows()...)
 	if errs := f.CheckGates(); !hasViolation(errs, "above the 2.0x bound") {
 		t.Fatalf("50x sync growth passed the gate: %v", errs)
 	}
 	f.Results = f.Results[:1]
 	if errs := f.CheckGates(); !hasViolation(errs, "no BenchmarkSync") {
 		t.Fatalf("missing resident=64 row passed the gate: %v", errs)
+	}
+}
+
+// codecRows is a passing set of frame-codec rows.
+func codecRows() []RegressResult {
+	return []RegressResult{
+		{Name: "BenchmarkDecodeFrame/control", NsPerOp: 150, AllocsPerOp: 1},
+		{Name: "BenchmarkDecodeFrame/small", NsPerOp: 20000, AllocsPerOp: 190},
+		{Name: "BenchmarkCheckpointStateDecode/small", NsPerOp: 18000, AllocsPerOp: 186},
+		{Name: "BenchmarkDecodeFrame/block=64", NsPerOp: 40000, AllocsPerOp: 200},
+		{Name: "BenchmarkCheckpointStateDecode/block=64", NsPerOp: 38000, AllocsPerOp: 196},
+	}
+}
+
+// TestCodecGates pins the frame-codec gates: control-frame decode
+// allocations, agent-frame allocations over their state's, the
+// control/agent ns ratio (full runs only), and missing rows.
+func TestCodecGates(t *testing.T) {
+	wireFile := func(quick bool, edit func(rows []RegressResult)) *RegressFile {
+		f := &RegressFile{Schema: 2, Suite: "wire", Quick: quick, Results: append(codecRows(),
+			RegressResult{Name: "BenchmarkSync/resident=0", NsPerOp: 9000},
+			RegressResult{Name: "BenchmarkSync/resident=64", NsPerOp: 9500})}
+		edit(f.Results)
+		return f
+	}
+	cases := []struct {
+		name  string
+		quick bool
+		edit  func(rows []RegressResult)
+		want  string
+	}{
+		{"control allocs", true, func(rows []RegressResult) { rows[0].AllocsPerOp = 5 }, "above the 4 bound"},
+		{"agent allocs", true, func(rows []RegressResult) { rows[3].AllocsPerOp = 205 }, "above its state's 196 + 8"},
+		{"ns ratio", false, func(rows []RegressResult) { rows[0].NsPerOp = 2500 }, "above 1/10 of the small agent frame's"},
+		{"missing state row", true, func(rows []RegressResult) { rows[4].Name = "BenchmarkOther" }, "no BenchmarkCheckpointStateDecode/block=64"},
+		{"missing control row", true, func(rows []RegressResult) { rows[0].Name = "BenchmarkOther" }, "no BenchmarkDecodeFrame/control"},
+	}
+	for _, c := range cases {
+		if errs := wireFile(c.quick, c.edit).CheckGates(); !hasViolation(errs, c.want) {
+			t.Errorf("%s: violations %v, want one containing %q", c.name, errs, c.want)
+		}
+	}
+	// The ns ratio is a full-run gate: quick runs time one iteration.
+	if errs := wireFile(true, func(rows []RegressResult) { rows[0].NsPerOp = 2500 }).CheckGates(); len(errs) != 0 {
+		t.Fatalf("quick run hit the ns gate: %v", errs)
 	}
 }

@@ -220,10 +220,36 @@ func regressBlockStateN(n int) *regressBlockState {
 }
 
 // RegressWire measures the wire data path: frame encode (the pooled
-// zero-copy fast path), frame decode, and the hop-boundary checkpoint
-// snapshot, over a control-size state and block-carrying states.
+// zero-copy fast path) and frame decode for a payload-free control frame
+// and for agent frames, and the hop-boundary checkpoint snapshot both
+// ways, over a control-size state and block-carrying states.
 func RegressWire(quick bool) (*RegressFile, error) {
 	f := newRegressFile("wire", quick)
+	size, err := wire.BenchEncodeControlFrame()
+	if err != nil {
+		return nil, fmt.Errorf("bench: encode control: %w", err)
+	}
+	res := benchmarked("BenchmarkEncodeFrame/control", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := wire.BenchEncodeControlFrame(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	f.Results = append(f.Results, withMBPerSec(res, size))
+	control, err := wire.BenchControlFrameBytes()
+	if err != nil {
+		return nil, fmt.Errorf("bench: control frame bytes: %w", err)
+	}
+	res = benchmarked("BenchmarkDecodeFrame/control", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := wire.BenchDecodeFrame(control); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	f.Results = append(f.Results, withMBPerSec(res, len(control)))
+
 	cases := []struct {
 		name  string
 		state any
@@ -275,6 +301,19 @@ func RegressWire(quick bool) (*RegressFile, error) {
 			}
 		})
 		f.Results = append(f.Results, withMBPerSec(res, snap))
+
+		state, err := wire.BenchStateBytes(c.state)
+		if err != nil {
+			return nil, fmt.Errorf("bench: state bytes %s: %w", c.name, err)
+		}
+		res = benchmarked("BenchmarkCheckpointStateDecode/"+c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := wire.BenchDecodeState(state); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		f.Results = append(f.Results, withMBPerSec(res, len(state)))
 	}
 	return regressSync(f, quick)
 }

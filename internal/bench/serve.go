@@ -53,6 +53,7 @@ type ServeFile struct {
 	GOOS       string          `json:"goos"`
 	GOARCH     string          `json:"goarch"`
 	GOMAXPROCS int             `json:"gomaxprocs"`
+	NumCPU     int             `json:"num_cpu"`
 	Quick      bool            `json:"quick"`
 	Workers    int             `json:"workers"`
 	QueueDepth int             `json:"queue_depth"`
@@ -65,7 +66,7 @@ func NewServeFile(workers, queueDepth int, quick bool) *ServeFile {
 	return &ServeFile{
 		Schema: 2, Suite: "sched",
 		GoVersion: runtime.Version(), GOOS: runtime.GOOS, GOARCH: runtime.GOARCH,
-		GOMAXPROCS: runtime.GOMAXPROCS(0), Quick: quick,
+		GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(), Quick: quick,
 		Workers: workers, QueueDepth: queueDepth,
 	}
 }

@@ -71,8 +71,22 @@ func codecStates() []struct {
 }
 
 // BenchmarkEncodeFrame measures the pooled frame encoder — the per-hop
-// serialization cost, and a BENCH_wire.json regression gate.
+// serialization cost, and a BENCH_wire.json regression gate — for a
+// payload-free control frame and for agent frames.
 func BenchmarkEncodeFrame(b *testing.B) {
+	b.Run("control", func(b *testing.B) {
+		n, err := BenchEncodeControlFrame()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(n))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := BenchEncodeControlFrame(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	for _, c := range codecStates() {
 		c := c
 		b.Run(c.name, func(b *testing.B) {
@@ -92,25 +106,32 @@ func BenchmarkEncodeFrame(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodeFrame measures the frame decoder over the same payloads.
+// BenchmarkDecodeFrame measures the frame decoder over the same frames.
 func BenchmarkDecodeFrame(b *testing.B) {
+	control, err := BenchControlFrameBytes()
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchDecode(b, "control", control)
 	for _, c := range codecStates() {
-		c := c
-		b.Run(c.name, func(b *testing.B) {
-			data, err := BenchFrameBytes(c.state)
-			if err != nil {
+		data, err := BenchFrameBytes(c.state)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchDecode(b, c.name, data)
+	}
+}
+
+func benchDecode(b *testing.B, name string, data []byte) {
+	b.Run(name, func(b *testing.B) {
+		b.SetBytes(int64(len(data)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := BenchDecodeFrame(data); err != nil {
 				b.Fatal(err)
 			}
-			b.SetBytes(int64(len(data)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := BenchDecodeFrame(data); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkCheckpointState measures the hop-boundary checkpoint
@@ -128,6 +149,28 @@ func BenchmarkCheckpointState(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := BenchEncodeState(c.state); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkCheckpointStateDecode measures decoding a checkpoint
+// snapshot — the payload share of an agent frame's decode.
+func BenchmarkCheckpointStateDecode(b *testing.B) {
+	for _, c := range codecStates() {
+		c := c
+		b.Run(c.name, func(b *testing.B) {
+			data, err := BenchStateBytes(c.state)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := BenchDecodeState(data); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,10 +1,7 @@
 package wire
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
-	"fmt"
 	"sync"
 )
 
@@ -285,26 +282,6 @@ func (ns *nodeState) popRetired(n int) {
 	}
 }
 
-// stateBox wraps an agent's carried state so a nil or interface-typed
-// value round-trips through gob.
-type stateBox struct{ V any }
-
-func encodeState(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&stateBox{V: v}); err != nil {
-		return nil, fmt.Errorf("wire: checkpoint encode: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-func decodeState(b []byte) (any, error) {
-	var box stateBox
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&box); err != nil {
-		return nil, fmt.Errorf("wire: checkpoint decode: %w", err)
-	}
-	return box.V, nil
-}
-
 // newAgentID allocates a cluster-unique agent identity: origin node in
 // the high bits, a persistent per-node counter below, so IDs never repeat
 // even across daemon restarts.
@@ -316,13 +293,25 @@ func (ns *nodeState) newAgentID() uint64 {
 	return uint64(ns.id)<<40 | ns.nextAgent
 }
 
+// takeStateBytes returns the checkpoint image of a fresh agent's state
+// and forgets any bytes the message carried: the encoding the agent
+// arrived in when it came off the wire (it is State's image until the
+// first step runs), else a fresh encodeState of State.
+func (msg *agentMsg) takeStateBytes() ([]byte, error) {
+	if enc := msg.enc; enc != nil {
+		msg.enc = nil
+		return enc, nil
+	}
+	return encodeState(msg.State)
+}
+
 // inject records a newly created agent: counted created, checkpointed at
 // hop zero so a crash before its first step replays it. Returns the
 // node's accepted-arrival count (the kill trigger clock).
 //
 //navplint:fact durable
 func (ns *nodeState) inject(msg *agentMsg) (arrivals int64, err error) {
-	snap, err := encodeState(msg.State)
+	snap, err := msg.takeStateBytes()
 	if err != nil {
 		return 0, err
 	}
@@ -360,7 +349,7 @@ var errEvacuated = errors.New("wire: node evacuated; fresh frames refused")
 //
 //navplint:fact durable
 func (ns *nodeState) accept(msg *agentMsg) (dup bool, arrivals int64, err error) {
-	snap, err := encodeState(msg.State)
+	snap, err := msg.takeStateBytes()
 	if err != nil {
 		return false, 0, err
 	}

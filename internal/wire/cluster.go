@@ -141,19 +141,39 @@ type ctlConn struct {
 	closed bool
 }
 
-// roundTrip sends one control frame and reads the reply. Any failure
-// closes the connection so the next call redials (reaching the daemon's
+// roundTrip sends one control frame and reads the reply. The request
+// is encoded before c.mu is taken and the reply decoded after it is
+// released, so the lock covers only the exchange on the socket — the
+// part that must be serialized — and concurrent callers sharing this
+// connection never wait on each other's codec work.
+func (c *ctlConn) roundTrip(env *envelope, timeout time.Duration) (*envelope, error) {
+	f, err := encodeFrame(env)
+	if err != nil {
+		return nil, err
+	}
+	defer f.release()
+	bp, err := c.exchange(f.bytes(), timeout)
+	if err != nil {
+		return nil, err
+	}
+	defer putBodyBuf(bp)
+	return decodeBody(*bp)
+}
+
+// exchange writes one encoded frame and reads the reply's body (a
+// pooled buffer the caller returns with putBodyBuf). Any failure closes
+// the connection so the next call redials (reaching the daemon's
 // current incarnation after a restart) — except an explicit close(),
 // which is terminal: a round trip racing or following Close must fail,
 // not resurrect the connection.
-func (c *ctlConn) roundTrip(env *envelope, timeout time.Duration) (*envelope, error) {
+func (c *ctlConn) exchange(req []byte, timeout time.Duration) (*[]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return nil, fmt.Errorf("wire: control connection to %s is closed", c.addr)
 	}
 	if c.conn == nil {
-		//lint:ignore lockorder c.mu exists to serialize whole round trips on this one connection, dial included; every wait under it is deadline-bounded, and a contender stalls only on its own daemon's control channel.
+		//lint:ignore lockorder c.mu exists to serialize whole exchanges on this one connection, dial included; every wait under it is deadline-bounded, and a contender stalls only on its own daemon's control channel.
 		conn, err := net.DialTimeout("tcp", c.addr, timeout)
 		if err != nil {
 			return nil, err
@@ -161,31 +181,26 @@ func (c *ctlConn) roundTrip(env *envelope, timeout time.Duration) (*envelope, er
 		c.conn = conn
 		c.r = bufio.NewReader(conn)
 	}
-	fail := func(err error) (*envelope, error) {
+	fail := func(err error) (*[]byte, error) {
 		c.conn.Close()
 		c.conn, c.r = nil, nil
 		return nil, err
 	}
-	f, err := encodeFrame(env)
-	if err != nil {
-		return nil, err
-	}
-	defer f.release()
 	deadline := time.Now().Add(timeout)
 	if err := c.conn.SetDeadline(deadline); err != nil {
 		return fail(err)
 	}
-	//lint:ignore lockorder the write-then-read round trip must be atomic per connection or replies interleave across callers; SetDeadline above bounds both waits.
-	if _, err := c.conn.Write(f.bytes()); err != nil {
+	//lint:ignore lockorder the write-then-read exchange must be atomic per connection or replies interleave across callers; SetDeadline above bounds both waits.
+	if _, err := c.conn.Write(req); err != nil {
 		return fail(err)
 	}
-	//lint:ignore lockorder second half of the serialized round trip; deadline-bounded like the write.
-	reply, err := readFrame(c.r)
+	//lint:ignore lockorder second half of the serialized exchange; deadline-bounded like the write.
+	bp, err := readBody(c.r)
 	if err != nil {
 		return fail(err)
 	}
 	c.conn.SetDeadline(time.Time{})
-	return reply, nil
+	return bp, nil
 }
 
 func (c *ctlConn) close() {
@@ -289,7 +304,7 @@ func (cl *Cluster) daemon(i int) *daemon {
 // even if the target daemon is mid-crash. The agent lives in the
 // default namespace (job 0), observed by Wait.
 func (cl *Cluster) Inject(node int, behavior string, state any) {
-	cl.daemon(node).injectLocal(0, behavior, state)
+	cl.daemon(node).injectLocal(0, behavior, state, nil)
 }
 
 // InjectJob is Inject scoped to a job namespace: the agent — and every
@@ -301,7 +316,7 @@ func (cl *Cluster) InjectJob(node int, job uint64, behavior string, state any) e
 	if job == 0 {
 		return fmt.Errorf("wire: job id must be nonzero")
 	}
-	return cl.daemon(node).injectLocal(job, behavior, state)
+	return cl.daemon(node).injectLocal(job, behavior, state, nil)
 }
 
 // Set places a node variable on a node before (or between) runs — the

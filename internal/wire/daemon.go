@@ -271,16 +271,13 @@ func (d *daemon) handleControl(env *envelope, rp *replier) bool {
 	case msgInject:
 		// injectLocal persists before dispatch, so the ok reply implies
 		// the injection is durable.
-		return ok(d.injectLocal(env.Job, env.Agent.Behavior, env.Agent.State))
+		return ok(d.injectLocal(env.Job, env.Agent.Behavior, env.Agent.State, env.Agent.enc))
 	case msgSetVar:
-		var v any
-		if env.Value != nil {
-			v = env.Value.V
-		}
-		d.node.vars.set(env.Name, v)
+		d.node.vars.put(env.Name, env.Value, env.valueEnc)
 		return ok(synced())
 	case msgGetVar:
-		return rp.send(&envelope{Kind: msgVar, Value: &stateBox{V: d.node.vars.get(env.Name)}})
+		v, enc := d.node.vars.getEncoded(env.Name)
+		return rp.send(&envelope{Kind: msgVar, Value: v, valueEnc: enc})
 	case msgCancel:
 		d.node.cancels.cancel(env.Job)
 		// A cancelled job's parked agents would otherwise sleep through
@@ -550,9 +547,11 @@ func (d *daemon) broadcastLeave() {
 // not lost: the restart replays it. job is the namespace the agent (and
 // everything it injects) is accounted to. The returned error reports
 // encode or persistence failures; in-process callers forward it to
-// d.fail, remote injection returns it to the coordinator.
-func (d *daemon) injectLocal(job uint64, behaviorName string, state any) error {
-	msg := &agentMsg{ID: d.node.newAgentID(), Job: job, Behavior: behaviorName, State: state}
+// d.fail, remote injection returns it to the coordinator. enc is the
+// state's encoding when the injection arrived in a frame (nil otherwise);
+// it becomes the hop-zero checkpoint as it is.
+func (d *daemon) injectLocal(job uint64, behaviorName string, state any, enc []byte) error {
+	msg := &agentMsg{ID: d.node.newAgentID(), Job: job, Behavior: behaviorName, State: state, enc: enc}
 	// Sync unconditionally, even when inject failed: a failed injection
 	// can still have advanced durable counters before erroring, and the
 	// coordinator's error reply is an acknowledgement like any other —

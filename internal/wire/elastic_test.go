@@ -54,25 +54,32 @@ func TestFreezeMigrateThaw(t *testing.T) {
 		t.Fatalf("frozen namespace has in-flight sends: %+v", c)
 	}
 
-	// Migrate node 0's residents to node 2. While the job is frozen, the
-	// parked set IS the resident set, so the marked count is exact and
-	// the shipped agents re-park at the destination.
-	before := cl.states[0].parkedCount()
-	if before == 0 {
-		t.Fatal("no agents parked on node 0; the migration would be vacuous")
+	// Migrate one node's residents to another. Where the agents parked
+	// depends on scheduling, so the source is the first node holding
+	// any. While the job is frozen, the parked set IS the resident set,
+	// so the marked count is exact and the shipped agents re-park at the
+	// destination.
+	src := 0
+	for src < len(cl.states)-1 && cl.states[src].parkedCount() == 0 {
+		src++
 	}
-	moved, err := cl.MigrateAgents(0, 2, job, 0)
+	dst := (src + 2) % len(cl.states)
+	before := cl.states[src].parkedCount()
+	if before == 0 {
+		t.Fatal("no agents parked; the migration would be vacuous")
+	}
+	moved, err := cl.MigrateAgents(src, dst, job, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if moved != before {
-		t.Fatalf("MigrateAgents marked %d agents, node 0 held %d", moved, before)
+		t.Fatalf("MigrateAgents marked %d agents, node %d held %d", moved, src, before)
 	}
 	// The migrated counter ticks on the sender after the destination's
 	// ack, which can trail the destination's own re-park — poll all
 	// three observations together.
 	waitFor(t, "migrated agents to land", func() bool {
-		return cl.states[0].parkedCount() == 0 && totalParked(cl) == agents &&
+		return cl.states[src].parkedCount() == 0 && totalParked(cl) == agents &&
 			cl.Metrics().Snapshot().Counter(MetricAgentsMigrated) >= int64(moved)
 	})
 

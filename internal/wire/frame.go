@@ -2,55 +2,78 @@ package wire
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 	"sync"
 )
 
+// msgKind is a frame's message kind: the second byte of every frame
+// body. The values are the wire format, so new kinds are appended and
+// none is ever renumbered.
+type msgKind uint8
+
 // Message kinds on the wire.
 const (
-	msgAgent    = "agent"    // a migrating computation's state
-	msgAck      = "ack"      // receiver: hop frame durably checkpointed
-	msgSnapshot = "snapshot" // coordinator polling a daemon's counters
-	msgCounters = "counters" // a daemon's reply
-	msgPing     = "ping"     // coordinator heartbeat probe
-	msgPong     = "pong"     // a daemon's heartbeat reply
-	msgShutdown = "shutdown" // coordinator: quiesced, stop serving
+	msgAgent    msgKind = iota + 1 // a migrating computation's state
+	msgAck                         // receiver: hop frame durably checkpointed
+	msgSnapshot                    // coordinator polling a daemon's counters
+	msgCounters                    // a daemon's reply
+	msgPing                        // coordinator heartbeat probe
+	msgPong                        // a daemon's heartbeat reply
+	msgShutdown                    // coordinator: quiesced, stop serving
 
 	// Membership (multi-host clusters; see DESIGN.md §13).
-	msgJoin    = "join"    // a starting daemon announces itself (Addr); empty Addr = observer query
-	msgMembers = "members" // the membership list: join reply (You = your id) or peer broadcast (You = -1)
-	msgLeave   = "leave"   // graceful departure notice for member Node
+	msgJoin    // a starting daemon announces itself (Addr); empty Addr = observer query
+	msgMembers // the membership list: join reply (You = your id) or peer broadcast (You = -1)
+	msgLeave   // graceful departure notice for member Node
 
 	// Coordinator → daemon control (the RemoteCluster surface).
-	msgInject = "inject" // inject Agent locally under namespace Job
-	msgSetVar = "setvar" // set node variable Name = Value
-	msgGetVar = "getvar" // read node variable Name
-	msgVar    = "var"    // getvar reply (Value)
-	msgCancel = "cancel" // mark job namespace Job cancelled
-	msgFree   = "free"   // release job namespace Job's bookkeeping
-	msgClear  = "clear"  // delete node variables with prefix Name
-	msgOK     = "ok"     // generic control acknowledgement (Err carries failure)
+	msgInject // inject Agent locally under namespace Job
+	msgSetVar // set node variable Name = Value
+	msgGetVar // read node variable Name
+	msgVar    // getvar reply (Value)
+	msgCancel // mark job namespace Job cancelled
+	msgFree   // release job namespace Job's bookkeeping
+	msgClear  // delete node variables with prefix Name
+	msgOK     // generic control acknowledgement (Err carries failure)
 
 	// Migration and elasticity control (DESIGN.md §16). Migration rides
 	// the agent path itself — a marked agent ships as a normal msgAgent
 	// at hop+1 — so only the *marking* and the drain/freeze state
 	// machines need control frames.
-	msgMigrate  = "migrate"  // mark up to Count agents (namespace Job, 0 = any) for migration to node Node
-	msgMigrated = "migrated" // migrate reply: Count agents marked
-	msgDrain    = "drain"    // evacuate every agent, absorb counters, leave (Count = timeout ms, 0 = default)
-	msgAbsorb   = "absorb"   // a draining node Node hands its counter totals (Counters, PerJob) to a survivor
-	msgFreeze   = "freeze"   // park namespace Job's agents at their next dispatch
-	msgThaw     = "thaw"     // unpark namespace Job's agents and resume them
+	msgMigrate  // mark up to Count agents (namespace Job, 0 = any) for migration to node Node
+	msgMigrated // migrate reply: Count agents marked
+	msgDrain    // evacuate every agent, absorb counters, leave (Count = timeout ms, 0 = default)
+	msgAbsorb   // a draining node Node hands its counter totals (Counters, PerJob) to a survivor
+	msgFreeze   // park namespace Job's agents at their next dispatch
+	msgThaw     // unpark namespace Job's agents and resume them
+
+	numMsgKinds
 )
 
-// envelope is the single wire format; unused fields stay zero.
+var msgKindNames = [numMsgKinds]string{
+	msgAgent: "agent", msgAck: "ack", msgSnapshot: "snapshot", msgCounters: "counters",
+	msgPing: "ping", msgPong: "pong", msgShutdown: "shutdown",
+	msgJoin: "join", msgMembers: "members", msgLeave: "leave",
+	msgInject: "inject", msgSetVar: "setvar", msgGetVar: "getvar", msgVar: "var",
+	msgCancel: "cancel", msgFree: "free", msgClear: "clear", msgOK: "ok",
+	msgMigrate: "migrate", msgMigrated: "migrated", msgDrain: "drain", msgAbsorb: "absorb",
+	msgFreeze: "freeze", msgThaw: "thaw",
+}
+
+func (k msgKind) String() string {
+	if k > 0 && k < numMsgKinds {
+		return msgKindNames[k]
+	}
+	return fmt.Sprintf("kind %d", uint8(k))
+}
+
+// envelope is one frame's message; a kind carries only its own fields
+// (see encode) and the rest stay zero.
 type envelope struct {
-	Kind string
+	Kind msgKind
 	// Agent migration (msgAgent) and remote injection (msgInject).
 	Agent *agentMsg
 	// Hop acknowledgement (the checkpoint/dedup handshake).
@@ -72,11 +95,15 @@ type envelope struct {
 	Node    int
 
 	// Control operands: variable name or prefix (msgSetVar, msgGetVar,
-	// msgClear), boxed variable value (msgSetVar, msgVar), and the error
-	// text of a failed control operation (msgOK, msgVar).
-	Name  string
-	Value *stateBox
-	Err   string
+	// msgClear), variable value (msgSetVar, msgVar), and the error text
+	// of a failed control operation (msgOK, msgVar). valueEnc is Value's
+	// encodeState bytes when they are already at hand — a decoded
+	// frame's private copy, or a logged variable's stored encoding — so
+	// neither side encodes the value twice.
+	Name     string
+	Value    any
+	valueEnc []byte
+	Err      string
 
 	// Migration operands: a bounded agent count (msgMigrate request and
 	// msgMigrated reply; drain timeout in milliseconds for msgDrain) and
@@ -87,7 +114,7 @@ type envelope struct {
 }
 
 // agentMsg is a migrating computation between steps: the behavior name
-// (code is pre-installed), the gob-encoded state, and the identity that
+// (code is pre-installed), the carried state, and the identity that
 // makes delivery exactly-once under retries — a cluster-unique agent ID
 // and the count of hops the agent has completed. A receiver accepts a
 // frame only when Hop exceeds the highest hop it has recorded for ID;
@@ -98,12 +125,18 @@ type envelope struct {
 // and carried across every hop. It scopes the termination counters (so
 // one tenant's quiescence is detectable while others still run) and the
 // cancellation set; 0 is the default namespace of plain Cluster.Inject.
+//
+// enc is State's encodeState bytes as the agent arrived off the wire
+// (nil for an agent built locally). They are only State's image until
+// the first step mutates it, so accept and inject consume them as the
+// checkpoint and clear the field (see takeStateBytes).
 type agentMsg struct {
 	ID       uint64
 	Hop      uint64
 	Job      uint64
 	Behavior string
 	State    any
+	enc      []byte
 }
 
 // ackMsg acknowledges one hop frame: the receiver has checkpointed the
@@ -122,6 +155,12 @@ type ackMsg struct {
 	Refused bool
 }
 
+// Ack flag bits on the wire.
+const (
+	ackDup = 1 << iota
+	ackRefused
+)
+
 // counters is one daemon's contribution to the termination snapshot.
 type counters struct {
 	Created, Finished int64
@@ -134,6 +173,12 @@ func (c *counters) add(o counters) {
 	c.Sent += o.Sent
 	c.Received += o.Received
 }
+
+// frameVersion is the first byte of every frame body. A peer speaking
+// another version — including a build from before the binary codec,
+// whose frames were gob streams — is refused frame by frame with an
+// error naming the version it sent.
+const frameVersion = 1
 
 // maxFrameBytes bounds a single frame; anything larger is rejected before
 // allocation, so a corrupted length prefix cannot exhaust memory.
@@ -155,16 +200,16 @@ const headerReserve = binary.MaxVarintLen64
 // later encodes, which is what keeps steady-state hop traffic free of
 // per-frame buffer allocations.
 type frame struct {
-	buf *bytes.Buffer
-	off int // start of the uvarint header inside buf.Bytes()
+	buf *recBuf
+	off int // start of the uvarint header inside buf.b
 }
 
 // bytes returns the wire representation: uvarint length prefix followed
-// by the gob body, one contiguous slice with no copy.
-func (f *frame) bytes() []byte { return f.buf.Bytes()[f.off:] }
+// by the body, one contiguous slice with no copy.
+func (f *frame) bytes() []byte { return f.buf.b[f.off:] }
 
 // size returns the on-wire frame length in bytes.
-func (f *frame) size() int { return f.buf.Len() - f.off }
+func (f *frame) size() int { return len(f.buf.b) - f.off }
 
 // release recycles the frame's buffer. The frame (and any slice
 // obtained from bytes()) must not be used afterwards.
@@ -179,16 +224,16 @@ func (f *frame) release() {
 // forever.
 const maxPooledBuf = 1 << 20
 
-var frameBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+var frameBufPool = sync.Pool{New: func() any { return new(recBuf) }}
 
-func getFrameBuf() *bytes.Buffer {
-	buf := frameBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
+func getFrameBuf() *recBuf {
+	buf := frameBufPool.Get().(*recBuf)
+	buf.b = buf.b[:0]
 	return buf
 }
 
-func putFrameBuf(buf *bytes.Buffer) {
-	if buf == nil || buf.Cap() > maxPooledBuf {
+func putFrameBuf(buf *recBuf) {
+	if buf == nil || cap(buf.b) > maxPooledBuf {
 		return
 	}
 	frameBufPool.Put(buf)
@@ -197,25 +242,25 @@ func putFrameBuf(buf *bytes.Buffer) {
 var headerPad [headerReserve]byte
 
 // encodeFrame renders an envelope as one self-contained frame: a uvarint
-// length prefix followed by a fresh gob stream. Self-contained frames —
-// rather than one long-lived gob stream per connection — are what make
+// length prefix, then the body — the version byte, the kind byte, and
+// that kind's fields in the node log's record encoding (encode).
+// Self-contained frames — no per-connection stream state — are what make
 // the fault layer possible: a frame can be retransmitted or duplicated
-// byte-for-byte, a reconnect needs no stream state, and a corrupted frame
-// cannot desynchronize the decoder's type dictionary.
+// byte-for-byte, a reconnect needs no handshake, and a corrupted frame
+// cannot desynchronize anything beyond itself.
 //
-// The fast path: the gob body is encoded directly into a pooled buffer
-// after a reserved header region, and the prefix is then written
-// backwards into the tail of that reservation — no append copy of the
-// body, no per-frame buffer allocation. Callers release() the frame
-// once written.
+// The body is encoded directly into a pooled buffer after a reserved
+// header region, and the prefix is then written backwards into the tail
+// of that reservation — no append copy of the body, no per-frame buffer
+// allocation. Callers release() the frame once written.
 func encodeFrame(env *envelope) (*frame, error) {
 	buf := getFrameBuf()
-	buf.Write(headerPad[:])
-	if err := gob.NewEncoder(buf).Encode(env); err != nil {
+	buf.b = append(buf.b, headerPad[:]...)
+	if err := env.encode(buf); err != nil {
 		putFrameBuf(buf)
-		return nil, fmt.Errorf("wire: encode frame: %w", err)
+		return nil, fmt.Errorf("wire: encode %s frame: %w", env.Kind, err)
 	}
-	bodyLen := buf.Len() - headerReserve
+	bodyLen := len(buf.b) - headerReserve
 	if bodyLen > maxFrameBytes {
 		putFrameBuf(buf)
 		return nil, errFrameTooLarge
@@ -223,8 +268,87 @@ func encodeFrame(env *envelope) (*frame, error) {
 	var hdr [headerReserve]byte
 	n := binary.PutUvarint(hdr[:], uint64(bodyLen))
 	off := headerReserve - n
-	copy(buf.Bytes()[off:headerReserve], hdr[:n])
+	copy(buf.b[off:headerReserve], hdr[:n])
 	return &frame{buf: buf, off: off}, nil
+}
+
+// encode appends the envelope's frame body to w: version, kind, then
+// exactly the kind's fields. Integers are uvarints (ids, hops, jobs) or
+// varints (node numbers, counts, counters), strings and payloads are
+// length-prefixed, and an agent is written as a recCkpt record's fields.
+func (env *envelope) encode(w *recBuf) error {
+	w.b = append(w.b, frameVersion, byte(env.Kind))
+	switch env.Kind {
+	case msgAgent:
+		return w.agent(env.Agent)
+	case msgInject:
+		w.u(env.Job)
+		return w.agent(env.Agent)
+	case msgAck:
+		w.u(env.Ack.ID)
+		w.u(env.Ack.Hop)
+		var flags uint64
+		if env.Ack.Dup {
+			flags |= ackDup
+		}
+		if env.Ack.Refused {
+			flags |= ackRefused
+		}
+		w.u(flags)
+	case msgSnapshot, msgCancel, msgFree, msgFreeze, msgThaw:
+		w.u(env.Job)
+	case msgCounters:
+		w.counters(env.Counters)
+		w.u(env.Job)
+	case msgPing, msgPong, msgShutdown:
+	case msgJoin:
+		w.str(env.Addr)
+	case msgMembers:
+		w.u(uint64(len(env.Members)))
+		for _, m := range env.Members {
+			w.str(m)
+		}
+		w.i(int64(env.You))
+	case msgLeave:
+		w.i(int64(env.Node))
+	case msgSetVar:
+		w.str(env.Name)
+		return w.payload(env.Value, env.valueEnc)
+	case msgGetVar, msgClear:
+		w.str(env.Name)
+	case msgVar:
+		w.str(env.Err)
+		return w.payload(env.Value, env.valueEnc)
+	case msgOK:
+		w.str(env.Err)
+	case msgMigrate:
+		w.i(int64(env.Node))
+		w.u(env.Job)
+		w.i(int64(env.Count))
+	case msgMigrated, msgDrain:
+		w.i(int64(env.Count))
+	case msgAbsorb:
+		w.i(int64(env.Node))
+		w.counters(env.Counters)
+		w.u(uint64(len(env.PerJob)))
+		for _, job := range sortedKeys(env.PerJob) {
+			w.u(job)
+			w.counters(env.PerJob[job])
+		}
+	default:
+		return fmt.Errorf("unknown frame kind %d", uint8(env.Kind))
+	}
+	return nil
+}
+
+// agent writes an agent as a recCkpt record's fields: the msgAgent frame
+// body and the accepted-agent log record are one encoding.
+func (w *recBuf) agent(a *agentMsg) error {
+	if a == nil {
+		return errors.New("no agent")
+	}
+	w.agentHead(a.ID, a.Hop, a.Job, a.Behavior)
+	return w.payload(a.State, a.enc)
 }
 
 // bodyPool recycles readFrame's body buffers for frames up to
@@ -253,11 +377,11 @@ func putBodyBuf(bp *[]byte) {
 	bodyPool.Put(bp)
 }
 
-// readFrame reads one frame from a connection's buffered reader. The
-// body is staged in a pooled buffer: gob copies everything it decodes
-// (and GobDecode implementations must not retain their input), so the
-// buffer is safe to recycle as soon as decoding finishes.
-func readFrame(r *bufio.Reader) (*envelope, error) {
+// readBody reads one frame's body from a connection's buffered reader
+// into a pooled buffer, which the caller returns with putBodyBuf once it
+// has decoded the body. The decoder copies every byte it keeps (strings,
+// payloads), so the buffer is safe to recycle as soon as decoding ends.
+func readBody(r *bufio.Reader) (*[]byte, error) {
 	size, err := binary.ReadUvarint(r)
 	if err != nil {
 		return nil, err
@@ -266,13 +390,23 @@ func readFrame(r *bufio.Reader) (*envelope, error) {
 		return nil, errFrameTooLarge
 	}
 	bp := getBodyBuf(int(size))
-	defer putBodyBuf(bp)
 	if _, err := io.ReadFull(r, *bp); err != nil {
+		putBodyBuf(bp)
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
 		return nil, err
 	}
+	return bp, nil
+}
+
+// readFrame reads and decodes one frame.
+func readFrame(r *bufio.Reader) (*envelope, error) {
+	bp, err := readBody(r)
+	if err != nil {
+		return nil, err
+	}
+	defer putBodyBuf(bp)
 	return decodeBody(*bp)
 }
 
@@ -294,23 +428,96 @@ func decodeFrame(data []byte) (*envelope, error) {
 	return decodeBody(body[:size])
 }
 
-// decodeBody gob-decodes a frame body. gob reports malformed input as an
-// error, but it decodes attacker-controlled bytes, so the recover is the
-// final guarantee that a hostile frame cannot take a daemon down.
-func decodeBody(body []byte) (env *envelope, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			env, err = nil, fmt.Errorf("wire: corrupt frame: %v", r)
+// decodeBody decodes a frame body: the mirror of encode. Every read is
+// bounds-checked and every count is checked against the bytes left
+// before anything is allocated for it, so hostile input ends in an
+// error. Payloads are decoded too, and the envelope keeps a private
+// copy of their bytes (body itself may be a recycled buffer).
+func decodeBody(body []byte) (*envelope, error) {
+	if len(body) < 2 {
+		return nil, fmt.Errorf("wire: frame body of %d bytes", len(body))
+	}
+	if body[0] != frameVersion {
+		return nil, fmt.Errorf("wire: frame version %d not supported (this build speaks version %d)", body[0], frameVersion)
+	}
+	env := &envelope{Kind: msgKind(body[1])}
+	r := &recReader{b: body[2:]}
+	switch env.Kind {
+	case msgAgent:
+		env.Agent = r.agent()
+	case msgInject:
+		env.Job = r.u()
+		env.Agent = r.agent()
+	case msgAck:
+		env.Ack.ID, env.Ack.Hop = r.u(), r.u()
+		flags := r.u()
+		if flags&^(ackDup|ackRefused) != 0 {
+			r.fail("unknown ack flag bits %#x", flags)
 		}
-	}()
-	env = new(envelope)
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(env); err != nil {
-		return nil, fmt.Errorf("wire: decode frame: %w", err)
+		env.Ack.Dup, env.Ack.Refused = flags&ackDup != 0, flags&ackRefused != 0
+	case msgSnapshot, msgCancel, msgFree, msgFreeze, msgThaw:
+		env.Job = r.u()
+	case msgCounters:
+		env.Counters = r.counters()
+		env.Job = r.u()
+	case msgPing, msgPong, msgShutdown:
+	case msgJoin:
+		env.Addr = r.str()
+	case msgMembers:
+		if n := r.count(1); n > 0 {
+			env.Members = make([]string, n)
+			for i := range env.Members {
+				env.Members[i] = r.str()
+			}
+		}
+		env.You = r.int()
+	case msgLeave:
+		env.Node = r.int()
+	case msgSetVar:
+		env.Name = r.str()
+		env.Value, env.valueEnc = r.payload()
+	case msgGetVar, msgClear:
+		env.Name = r.str()
+	case msgVar:
+		env.Err = r.str()
+		env.Value, env.valueEnc = r.payload()
+	case msgOK:
+		env.Err = r.str()
+	case msgMigrate:
+		env.Node, env.Job, env.Count = r.int(), r.u(), r.int()
+	case msgMigrated, msgDrain:
+		env.Count = r.int()
+	case msgAbsorb:
+		env.Node, env.Counters = r.int(), r.counters()
+		// An entry is at least a one-byte job and four one-byte counters.
+		if n := r.count(5); n > 0 {
+			env.PerJob = make(map[uint64]counters, n)
+			for i := 0; i < n && r.err == nil; i++ {
+				job := r.u()
+				env.PerJob[job] = r.counters()
+			}
+		}
+	default:
+		return nil, fmt.Errorf("wire: unknown frame kind %d", body[1])
+	}
+	if r.err == nil && len(r.b) > 0 {
+		r.fail("%d bytes after the last field", len(r.b))
+	}
+	if r.err != nil {
+		return nil, fmt.Errorf("wire: decode %s frame: %w", env.Kind, r.err)
 	}
 	if err := env.validate(); err != nil {
 		return nil, err
 	}
 	return env, nil
+}
+
+// agent reads an agent written by recBuf.agent, decoding its state.
+func (r *recReader) agent() *agentMsg {
+	a := &agentMsg{}
+	a.ID, a.Hop, a.Job, a.Behavior = r.agentHead()
+	a.State, a.enc = r.payload()
+	return a
 }
 
 // validate enforces the frame's semantic invariants after decoding.
@@ -377,7 +584,7 @@ func (env *envelope) validate() error {
 		}
 	case msgAck, msgSnapshot, msgCounters, msgPing, msgPong, msgShutdown, msgVar, msgOK:
 	default:
-		return fmt.Errorf("wire: unknown frame kind %q", env.Kind)
+		return fmt.Errorf("wire: unknown frame kind %d", uint8(env.Kind))
 	}
 	return nil
 }

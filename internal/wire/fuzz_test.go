@@ -9,42 +9,62 @@ import (
 	"testing"
 )
 
-// fuzzSeeds builds representative well-formed frames plus classic
-// malformations; they seed both the fuzzer and the regression tests
-// below, alongside the checked-in corpus under testdata/fuzz.
-func fuzzSeeds(t testing.TB) [][]byte {
-	t.Helper()
-	var seeds [][]byte
-	for _, env := range []*envelope{
-		{Kind: msgAgent, Agent: &agentMsg{ID: 1<<40 | 7, Hop: 3, Behavior: "ring", State: nil}},
+// kindExamples is one well-formed envelope per message kind, payloads
+// included where the kind carries one.
+func kindExamples() []*envelope {
+	return []*envelope{
+		{Kind: msgAgent, Agent: &agentMsg{ID: 1<<40 | 7, Hop: 3, Job: 4, Behavior: "ring", State: &goldenState{Step: 2, Vals: []float64{0.5}}}},
 		{Kind: msgAck, Ack: ackMsg{ID: 9, Hop: 1, Dup: true}},
+		{Kind: msgSnapshot, Job: 7},
 		{Kind: msgCounters, Counters: counters{Created: 4, Finished: 4, Sent: 12, Received: 12}},
 		{Kind: msgPing},
+		{Kind: msgPong},
 		{Kind: msgShutdown},
-		// Membership handshake and coordinator-control frames.
 		{Kind: msgJoin, Addr: "127.0.0.1:9001"},
-		{Kind: msgJoin}, // observer query
 		{Kind: msgMembers, Members: []string{"127.0.0.1:9001", "127.0.0.1:9002"}, You: 1},
-		{Kind: msgMembers, Members: []string{"127.0.0.1:9001"}, You: -1},
 		{Kind: msgLeave, Node: 2},
 		{Kind: msgInject, Job: 77, Agent: &agentMsg{Behavior: "ring"}},
-		{Kind: msgSetVar, Name: "x", Value: &stateBox{V: int64(42)}},
+		{Kind: msgSetVar, Name: "x", Value: int64(42)},
 		{Kind: msgGetVar, Name: "x"},
-		{Kind: msgVar, Value: &stateBox{V: "hello"}},
+		{Kind: msgVar, Value: "hello"},
 		{Kind: msgCancel, Job: 3},
 		{Kind: msgFree, Job: 3},
 		{Kind: msgClear, Name: "job.3."},
 		{Kind: msgOK, Err: "wire: nope"},
-		// Elasticity control frames and the tombstone-shell refusal ack.
-		{Kind: msgAck, Ack: ackMsg{ID: 9, Hop: 2, Refused: true}},
 		{Kind: msgMigrate, Node: 1, Job: 7, Count: 2},
 		{Kind: msgMigrated, Count: 2},
-		{Kind: msgFreeze, Job: 7},
-		{Kind: msgThaw, Job: 7},
 		{Kind: msgDrain, Count: 5000},
 		{Kind: msgAbsorb, Node: 2, Counters: counters{Created: 3, Finished: 3, Sent: 9, Received: 9},
 			PerJob: map[uint64]counters{7: {Created: 3, Finished: 3, Sent: 9, Received: 9}}},
-	} {
+		{Kind: msgFreeze, Job: 7},
+		{Kind: msgThaw, Job: 7},
+	}
+}
+
+// fuzzSeeds builds one well-formed frame per message kind plus a few
+// variants and classic malformations; they seed both the fuzzer and the
+// regression tests below, alongside the checked-in corpus under
+// testdata/fuzz.
+func fuzzSeeds(t testing.TB) [][]byte {
+	t.Helper()
+	envs := kindExamples()
+	covered := map[msgKind]bool{}
+	for _, env := range envs {
+		covered[env.Kind] = true
+	}
+	for k := msgKind(1); k < numMsgKinds; k++ {
+		if !covered[k] {
+			t.Fatalf("no fuzz seed for frame kind %s", k)
+		}
+	}
+	envs = append(envs,
+		&envelope{Kind: msgJoin}, // observer query
+		&envelope{Kind: msgMembers, Members: []string{"127.0.0.1:9001"}, You: -1},
+		&envelope{Kind: msgAck, Ack: ackMsg{ID: 9, Hop: 2, Refused: true}}, // tombstone-shell refusal
+		&envelope{Kind: msgSetVar, Name: "nil"},                            // empty payload
+	)
+	var seeds [][]byte
+	for _, env := range envs {
 		f, err := encodeFrame(env)
 		if err != nil {
 			t.Fatal(err)
@@ -61,7 +81,7 @@ func fuzzSeeds(t testing.TB) [][]byte {
 		append(binary.AppendUvarint(nil, maxFrameBytes+1), valid...), // oversize claim
 	)
 	// Single-byte corruptions of a valid frame.
-	for _, i := range []int{0, 1, len(valid) / 2, len(valid) - 1} {
+	for _, i := range []int{0, 1, 2, len(valid) / 2, len(valid) - 1} {
 		c := append([]byte(nil), valid...)
 		c[i] ^= 0xff
 		seeds = append(seeds, c)
@@ -71,7 +91,9 @@ func fuzzSeeds(t testing.TB) [][]byte {
 
 // FuzzDecodeFrame is the decoder robustness fuzz target: any byte string
 // must produce either a valid envelope or an error — never a panic, and
-// never an envelope violating the frame invariants.
+// never an envelope violating the frame invariants. A frame that decodes
+// must re-encode (the round trip a retransmission depends on) to a frame
+// that decodes to the same envelope.
 func FuzzDecodeFrame(f *testing.F) {
 	for _, seed := range fuzzSeeds(f) {
 		f.Add(seed)
@@ -87,15 +109,17 @@ func FuzzDecodeFrame(f *testing.F) {
 		if verr := env.validate(); verr != nil {
 			t.Fatalf("decoder returned invalid envelope: %v", verr)
 		}
-		// A decoded frame must re-encode (the round trip a retransmission
-		// depends on). State payloads of unregistered types are the one
-		// legitimate exception gob cannot re-encode.
-		if (env.Kind != msgAgent && env.Kind != msgInject) || env.Agent.State == nil {
-			f, rerr := encodeFrame(env)
-			if rerr != nil {
-				t.Fatalf("decoded frame does not re-encode: %v", rerr)
-			}
-			f.release()
+		fr, err := encodeFrame(env)
+		if err != nil {
+			t.Fatalf("decoded frame does not re-encode: %v", err)
+		}
+		defer fr.release()
+		again, err := decodeFrame(fr.bytes())
+		if err != nil {
+			t.Fatalf("re-encoded frame does not decode: %v", err)
+		}
+		if d := envDiff(again, env); d != "" {
+			t.Fatalf("re-encoded frame decodes differently: %s", d)
 		}
 	})
 }
@@ -124,28 +148,50 @@ func TestDecodeFrameRejectsOversizePrefix(t *testing.T) {
 	}
 }
 
+// TestDecodeFrameRejectsTruncation cuts a frame of every kind at every
+// byte: each cut must be refused (a body is only valid whole — trailing
+// or missing bytes are both errors).
 func TestDecodeFrameRejectsTruncation(t *testing.T) {
-	f, err := encodeFrame(&envelope{Kind: msgPing})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.release()
-	frame := f.bytes()
-	for cut := 0; cut < len(frame); cut++ {
-		if _, err := decodeFrame(frame[:cut]); err == nil {
-			t.Fatalf("truncation to %d of %d bytes accepted", cut, len(frame))
+	for _, env := range kindExamples() {
+		f, err := encodeFrame(env)
+		if err != nil {
+			t.Fatal(err)
 		}
+		frame := f.bytes()
+		for cut := 0; cut < len(frame); cut++ {
+			if _, err := decodeFrame(frame[:cut]); err == nil {
+				t.Fatalf("%s frame truncated to %d of %d bytes accepted", env.Kind, cut, len(frame))
+			}
+			// The same cut with a corrected length prefix: the body
+			// itself is short.
+			body := frame[headerLen(frame):]
+			if cut < len(body) {
+				short := binary.AppendUvarint(nil, uint64(cut))
+				if _, err := decodeFrame(append(short, body[:cut]...)); err == nil {
+					t.Fatalf("%s frame body cut to %d of %d bytes accepted", env.Kind, cut, len(body))
+				}
+			}
+		}
+		f.release()
 	}
 }
 
+// headerLen is the length of a frame's uvarint prefix.
+func headerLen(frame []byte) int {
+	_, n := binary.Uvarint(frame)
+	return n
+}
+
 func TestDecodeFrameRejectsUnknownKind(t *testing.T) {
-	f, err := encodeFrame(&envelope{Kind: "gremlin"})
-	if err != nil {
-		t.Fatal(err)
+	for _, kind := range []byte{0, byte(numMsgKinds), 0xff} {
+		data := binary.AppendUvarint(nil, 2)
+		data = append(data, frameVersion, kind)
+		if _, err := decodeFrame(data); err == nil {
+			t.Fatalf("frame kind %d accepted", kind)
+		}
 	}
-	defer f.release()
-	if _, err := decodeFrame(f.bytes()); err == nil {
-		t.Fatal("unknown frame kind accepted")
+	if _, err := encodeFrame(&envelope{Kind: numMsgKinds}); err == nil {
+		t.Fatal("unknown frame kind encoded")
 	}
 }
 

@@ -21,8 +21,11 @@ import (
 //
 // Encoding: one kind byte, then the kind's fields as uvarints (ids,
 // hops, jobs, node numbers), varints (counters) and length-prefixed
-// byte strings. Nothing is gob except the variable values, which are
-// encoded once, when they are set.
+// byte strings. Nothing is gob except the opaque payloads — checkpointed
+// agent state and variable values — which are encodeState bytes, made
+// once: when a variable is set or an agent is built, or carried verbatim
+// from the frame the value arrived in. Frames (frame.go) use the same
+// primitives, and a recCkpt record's fields are a msgAgent frame's body.
 
 type recKind byte
 
@@ -139,8 +142,14 @@ func (p *nodePending) reset() {
 	p.popped = 0
 }
 
-// recBuf appends encoded records.
+// recBuf appends encoded records and frame bodies.
 type recBuf struct{ b []byte }
+
+// Write appends p, so gob can encode a payload straight into the buffer.
+func (w *recBuf) Write(p []byte) (int, error) {
+	w.b = append(w.b, p...)
+	return len(p), nil
+}
 
 func (w *recBuf) kind(k recKind)           { w.b = append(w.b, byte(k)) }
 func (w *recBuf) u(x uint64)               { w.b = binary.AppendUvarint(w.b, x) }
@@ -158,11 +167,40 @@ func (w *recBuf) counters(c counters) {
 
 func (w *recBuf) ckpt(id uint64, c *checkpoint) {
 	w.kind(recCkpt)
-	w.u(id)
-	w.u(c.hop)
-	w.u(c.job)
-	w.str(c.behavior)
+	w.agentHead(id, c.hop, c.job, c.behavior)
 	w.bytes(c.state)
+}
+
+// agentHead writes an agent's identity and behavior: the fields of a
+// recCkpt record and of a msgAgent frame that precede the state.
+func (w *recBuf) agentHead(id, hop, job uint64, behavior string) {
+	w.u(id)
+	w.u(hop)
+	w.u(job)
+	w.str(behavior)
+}
+
+// payload writes an opaque value as length-prefixed encodeState bytes:
+// enc verbatim when the caller already holds them, otherwise v encoded
+// in place — gob writes straight into the buffer and the encoding is
+// shifted right to make room for its length. A nil value with no bytes
+// is the empty payload.
+func (w *recBuf) payload(v any, enc []byte) error {
+	if enc != nil || v == nil {
+		w.bytes(enc)
+		return nil
+	}
+	start := len(w.b)
+	if err := encodeStateTo(w, v); err != nil {
+		return err
+	}
+	n := len(w.b) - start
+	var hdr [binary.MaxVarintLen64]byte
+	h := binary.PutUvarint(hdr[:], uint64(n))
+	w.b = append(w.b, hdr[:h]...)
+	copy(w.b[start+h:], w.b[start:start+n])
+	copy(w.b[start:], hdr[:h])
+	return nil
 }
 
 // pin writes a migration or reroute pin (or its removal) for id.
@@ -428,9 +466,8 @@ func (r *recReader) node() int {
 	return int(x)
 }
 
-// bytes returns a copy of a length-prefixed byte string: the replayed
-// state must not pin the whole log image in memory.
-func (r *recReader) bytes() []byte {
+// view returns a length-prefixed byte string in place.
+func (r *recReader) view() []byte {
 	n := r.u()
 	if r.err != nil {
 		return nil
@@ -439,12 +476,64 @@ func (r *recReader) bytes() []byte {
 		r.err = errRecordTruncated
 		return nil
 	}
-	out := bytes.Clone(r.b[:n])
+	v := r.b[:n]
 	r.b = r.b[n:]
-	return out
+	return v
 }
 
-func (r *recReader) str() string { return string(r.bytes()) }
+// bytes returns a copy of a length-prefixed byte string: the replayed
+// state must not pin the whole log image in memory, and a decoded frame
+// must not alias its recycled body buffer.
+func (r *recReader) bytes() []byte { return bytes.Clone(r.view()) }
+
+// str returns a copy of a length-prefixed string.
+func (r *recReader) str() string { return string(r.view()) }
+
+// int reads a varint that must fit an int (a frame's node, count or
+// member id).
+func (r *recReader) int() int {
+	x := r.i()
+	if int64(int(x)) != x {
+		r.fail("integer %d out of range", x)
+		return 0
+	}
+	return int(x)
+}
+
+// count reads an element count and bounds it by the bytes left, each
+// element taking at least minBytes, so a hostile count cannot make the
+// reader allocate more than the input could fill.
+func (r *recReader) count(minBytes int) int {
+	n := r.u()
+	if r.err == nil && n > uint64(len(r.b)/minBytes) {
+		r.fail("count %d exceeds the %d bytes left", n, len(r.b))
+	}
+	if r.err != nil {
+		return 0
+	}
+	return int(n)
+}
+
+// agentHead reads the fields recBuf.agentHead writes.
+func (r *recReader) agentHead() (id, hop, job uint64, behavior string) {
+	return r.u(), r.u(), r.u(), r.str()
+}
+
+// payload reads an opaque value written by recBuf.payload, returning the
+// decoded value and a private copy of its bytes; the empty payload is
+// nil.
+func (r *recReader) payload() (any, []byte) {
+	enc := r.bytes()
+	if r.err != nil || len(enc) == 0 {
+		return nil, nil
+	}
+	v, err := decodeState(enc)
+	if err != nil {
+		r.fail("%v", err)
+		return nil, nil
+	}
+	return v, enc
+}
 
 func (r *recReader) counters() counters {
 	return counters{Created: r.i(), Finished: r.i(), Sent: r.i(), Received: r.i()}
@@ -492,8 +581,8 @@ func (ns *nodeState) applyRecord(k recKind, r *recReader) {
 			}
 		}
 	case recCkpt:
-		id, hop, job := r.u(), r.u(), r.u()
-		behavior, state := r.str(), r.bytes()
+		id, hop, job, behavior := r.agentHead()
+		state := r.bytes()
 		if r.err == nil {
 			ns.putCkpt(id, &checkpoint{behavior: behavior, hop: hop, job: job, state: state})
 		}

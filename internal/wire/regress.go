@@ -4,10 +4,11 @@ package wire
 // (internal/bench). The frame and checkpoint codecs are unexported by
 // design — nothing outside this package should touch wire framing — so
 // these thin wrappers expose exactly the operations the harness times:
-// frame encode (pooled fast path), frame decode, and the checkpoint
-// state snapshot both ways. They are also usable from external tests
-// that need a wire-identical byte image of a frame. BenchSync exposes
-// the node log's per-ack sync path the same way.
+// frame encode (pooled fast path) and decode for an agent frame and a
+// payload-free control frame, and the checkpoint state snapshot both
+// ways. They are also usable from external tests that need a
+// wire-identical byte image of a frame. BenchSync exposes the node
+// log's per-ack sync path the same way.
 
 import (
 	"fmt"
@@ -47,10 +48,39 @@ func BenchFrameBytes(state any) ([]byte, error) {
 	return out, nil
 }
 
-// BenchDecodeFrame decodes one complete frame image.
+// BenchDecodeFrame decodes one complete frame image, payload included.
 func BenchDecodeFrame(data []byte) error {
 	_, err := decodeFrame(data)
 	return err
+}
+
+// benchControl is the canonical payload-free frame: a daemon's per-job
+// counters reply, the frame termination polling sends most.
+var benchControl = &envelope{Kind: msgCounters, Job: 1<<32 | 77,
+	Counters: counters{Created: 16, Finished: 9, Sent: 140, Received: 133}}
+
+// BenchEncodeControlFrame encodes the canonical payload-free frame and
+// releases it, returning the on-wire size.
+func BenchEncodeControlFrame() (int, error) {
+	f, err := encodeFrame(benchControl)
+	if err != nil {
+		return 0, err
+	}
+	n := f.size()
+	f.release()
+	return n, nil
+}
+
+// BenchControlFrameBytes returns a standalone copy of the canonical
+// payload-free frame — input for BenchDecodeFrame.
+func BenchControlFrameBytes() ([]byte, error) {
+	f, err := encodeFrame(benchControl)
+	if err != nil {
+		return nil, err
+	}
+	out := append([]byte(nil), f.bytes()...)
+	f.release()
+	return out, nil
 }
 
 // BenchEncodeState snapshots v through the checkpoint codec (the
@@ -78,6 +108,7 @@ func BenchDecodeState(data []byte) error {
 type SyncBench struct {
 	ns   *nodeState
 	next atomic.Uint64
+	enc  []byte // benchHopState's encoding, as a decoded frame carries it
 }
 
 // benchHopState is the carried state of a benchmark agent: the size of
@@ -99,12 +130,19 @@ func BenchSync(dir string, resident []any) (*SyncBench, error) {
 		ns.persist.close()
 		return nil, err
 	}
-	return &SyncBench{ns: ns}, nil
+	enc, err := encodeState(benchHopState)
+	if err != nil {
+		ns.persist.close()
+		return nil, err
+	}
+	return &SyncBench{ns: ns, enc: enc}, nil
 }
 
 // Run performs n syncs shared among callers goroutines and returns the
 // first error. Each goroutine alternately accepts a fresh agent and
-// completes it — the two ends of a hop's stay — syncing after each.
+// completes it — the two ends of a hop's stay — syncing after each. The
+// accepted agent carries its state's bytes, as one off the wire does,
+// so the accept checkpoints them without encoding.
 func (b *SyncBench) Run(n, callers int) error {
 	var left atomic.Int64
 	left.Store(int64(n))
@@ -118,7 +156,7 @@ func (b *SyncBench) Run(n, callers int) error {
 			for left.Add(-1) >= 0 {
 				if id == 0 {
 					id = b.next.Add(1)
-					if _, _, err := b.ns.accept(&agentMsg{ID: id, Hop: 1, Job: 1, Behavior: "bench", State: benchHopState}); err != nil {
+					if _, _, err := b.ns.accept(&agentMsg{ID: id, Hop: 1, Job: 1, Behavior: "bench", State: benchHopState, enc: b.enc}); err != nil {
 						errs <- err
 						return
 					}

@@ -315,7 +315,7 @@ func (rc *RemoteCluster) roundTrip(i int, env *envelope) (*envelope, error) {
 // SetVar places a node variable on node i. The daemon persists before
 // acknowledging, so a returned nil means the write survives kill -9.
 func (rc *RemoteCluster) SetVar(node int, name string, v any) error {
-	return rc.control(node, &envelope{Kind: msgSetVar, Name: name, Value: &stateBox{V: v}})
+	return rc.control(node, &envelope{Kind: msgSetVar, Name: name, Value: v})
 }
 
 // GetVar reads a node variable from node i.
@@ -327,10 +327,7 @@ func (rc *RemoteCluster) GetVar(node int, name string) (any, error) {
 	if reply.Kind != msgVar {
 		return nil, fmt.Errorf("wire: getvar %q from node %d: unexpected %s reply", name, node, reply.Kind)
 	}
-	if reply.Value == nil {
-		return nil, nil
-	}
-	return reply.Value.V, nil
+	return reply.Value, nil
 }
 
 // InjectJob starts an agent on node under a job namespace. The daemon

@@ -132,7 +132,8 @@ func (c *Ctx) Get(name string) any { return c.daemon.node.vars.get(name) }
 // they survive daemon restarts, and a step replayed after a crash
 // re-assigns the same values, so writes should be idempotent. On a
 // persistent host the value is encoded once, here: mutate a stored
-// value in place and the change is not durable until the next Set.
+// value in place and the change is neither durable nor visible to a
+// remote GetVar (which ships the stored encoding) until the next Set.
 func (c *Ctx) Set(name string, v any) { c.daemon.node.vars.set(name, v) }
 
 // Wait blocks until the named node-local event has a pending signal,
@@ -156,7 +157,7 @@ func (c *Ctx) Signal(event string) { c.daemon.node.events.signal(event) }
 // this agent's job namespace, so a job's termination detection covers
 // its whole injection tree.
 func (c *Ctx) Inject(behavior string, state any) {
-	c.daemon.injectLocal(c.agent.Job, behavior, state)
+	c.daemon.injectLocal(c.agent.Job, behavior, state, nil)
 }
 
 // HopTo ends the step with a migration to node dst.
@@ -201,15 +202,30 @@ func (s *store) get(name string) any {
 	return s.m[name]
 }
 
+// getEncoded returns a variable and, on a logged table, its stored
+// encoding — the value as last set, which is what a remote read ships.
+func (s *store) getEncoded(name string) (any, []byte) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.m[name], s.enc[name]
+}
+
 // set writes one variable. Variables are part of the persisted node
 // state, so a set must reach the node log before any reply that implies
 // it happened.
 //
 //navplint:fact durable
-func (s *store) set(name string, v any) {
-	var b []byte
+func (s *store) set(name string, v any) { s.put(name, v, nil) }
+
+// put is set for a value whose encodeState bytes the caller may already
+// hold (enc, from the frame the value arrived in): a logged table keeps
+// them as the variable's encoding instead of encoding v again.
+//
+//navplint:fact durable
+func (s *store) put(name string, v any, enc []byte) {
+	b := enc
 	var err error
-	if s.logged() {
+	if b == nil && s.logged() {
 		b, err = encodeState(v)
 	}
 	s.mu.Lock()
