@@ -134,11 +134,15 @@ func TestPriorityOrdersQueue(t *testing.T) {
 	defer s.Close()
 	var mu sync.Mutex
 	var order []string
-	gate := make(chan struct{})
+	gate, started := make(chan struct{}), make(chan struct{})
 	blocker, _ := s.Submit(Spec{Work: WorkFunc{Name: "blocker", Fn: func(rt *Runtime) (any, error) {
+		close(started)
 		<-gate
 		return nil, nil
 	}}})
+	// The single worker must hold the blocker before the others queue,
+	// or it would rightly pick the highest-priority job among all four.
+	<-started
 	record := func(name string) Work {
 		return WorkFunc{Name: name, Fn: func(rt *Runtime) (any, error) {
 			mu.Lock()

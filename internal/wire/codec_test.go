@@ -44,17 +44,15 @@ func goldenStateBytes(t testing.TB) []byte {
 // goldenFrames pins the frame layout behind the version byte: each
 // envelope must encode to exactly its recorded frame, and the recorded
 // frame must decode back to the envelope (payload value included).
-func goldenFrames(t testing.TB) []struct {
+type goldenFrame struct {
 	name string
 	env  *envelope
 	hex  string
-} {
+}
+
+func goldenFrames(t testing.TB) []goldenFrame {
 	enc := goldenStateBytes(t)
-	return []struct {
-		name string
-		env  *envelope
-		hex  string
-	}{
+	return []goldenFrame{
 		{"agent", &envelope{Kind: msgAgent, Agent: &agentMsg{
 			ID: 5<<40 | 11, Hop: 2, Job: 9, Behavior: "golden", State: goldenValue(), enc: enc}},
 			"ab01" + "0101" + "8b80808080a001" + "02" + "09" + "06676f6c64656e" + "9701" + goldenStateHex},

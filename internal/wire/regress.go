@@ -26,27 +26,11 @@ func benchEnvelope(state any) *envelope {
 
 // BenchEncodeFrame encodes one agent frame carrying state through the
 // pooled fast path and releases it, returning the on-wire size.
-func BenchEncodeFrame(state any) (int, error) {
-	f, err := encodeFrame(benchEnvelope(state))
-	if err != nil {
-		return 0, err
-	}
-	n := f.size()
-	f.release()
-	return n, nil
-}
+func BenchEncodeFrame(state any) (int, error) { return frameSize(benchEnvelope(state)) }
 
 // BenchFrameBytes returns a standalone copy of the encoded frame for
 // state — input for BenchDecodeFrame and for golden-frame fixtures.
-func BenchFrameBytes(state any) ([]byte, error) {
-	f, err := encodeFrame(benchEnvelope(state))
-	if err != nil {
-		return nil, err
-	}
-	out := append([]byte(nil), f.bytes()...)
-	f.release()
-	return out, nil
-}
+func BenchFrameBytes(state any) ([]byte, error) { return frameCopy(benchEnvelope(state)) }
 
 // BenchDecodeFrame decodes one complete frame image, payload included.
 func BenchDecodeFrame(data []byte) error {
@@ -61,8 +45,16 @@ var benchControl = &envelope{Kind: msgCounters, Job: 1<<32 | 77,
 
 // BenchEncodeControlFrame encodes the canonical payload-free frame and
 // releases it, returning the on-wire size.
-func BenchEncodeControlFrame() (int, error) {
-	f, err := encodeFrame(benchControl)
+func BenchEncodeControlFrame() (int, error) { return frameSize(benchControl) }
+
+// BenchControlFrameBytes returns a standalone copy of the canonical
+// payload-free frame — input for BenchDecodeFrame.
+func BenchControlFrameBytes() ([]byte, error) { return frameCopy(benchControl) }
+
+// frameSize encodes env through the pooled path, releases the frame and
+// returns its on-wire size.
+func frameSize(env *envelope) (int, error) {
+	f, err := encodeFrame(env)
 	if err != nil {
 		return 0, err
 	}
@@ -71,10 +63,9 @@ func BenchEncodeControlFrame() (int, error) {
 	return n, nil
 }
 
-// BenchControlFrameBytes returns a standalone copy of the canonical
-// payload-free frame — input for BenchDecodeFrame.
-func BenchControlFrameBytes() ([]byte, error) {
-	f, err := encodeFrame(benchControl)
+// frameCopy returns a standalone copy of env's encoded frame.
+func frameCopy(env *envelope) ([]byte, error) {
+	f, err := encodeFrame(env)
 	if err != nil {
 		return nil, err
 	}
