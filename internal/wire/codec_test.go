@@ -395,6 +395,36 @@ func TestSetVarKeepsFrameBytes(t *testing.T) {
 	}
 }
 
+// TestVarReplyDecodesOutOfRecycledBuffer: a getvar reply keeps only its
+// value — no copy of the payload bytes — and the value owns its memory,
+// so reading the next frame through the same recycled body buffer
+// leaves it intact.
+func TestVarReplyDecodesOutOfRecycledBuffer(t *testing.T) {
+	var stream bytes.Buffer
+	for _, v := range []float64{2.5, -9} {
+		f, err := encodeFrame(&envelope{Kind: msgVar, Value: &goldenState{Step: 1, Vals: []float64{v, v}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream.Write(f.bytes())
+		f.release()
+	}
+	r := bufio.NewReader(&stream)
+	a, err := readFrame(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.valueEnc != nil {
+		t.Fatal("a var reply kept a copy of its payload bytes")
+	}
+	if _, err := readFrame(r); err != nil {
+		t.Fatal(err)
+	}
+	if want := (&goldenState{Step: 1, Vals: []float64{2.5, 2.5}}); !reflect.DeepEqual(a.Value, want) {
+		t.Fatalf("var reply value changed to %+v when the next frame was decoded", a.Value)
+	}
+}
+
 // TestControlFrameDecodeAllocs pins the payload-free decode: the
 // envelope itself, nothing per field.
 func TestControlFrameDecodeAllocs(t *testing.T) {

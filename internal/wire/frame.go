@@ -432,7 +432,8 @@ func decodeFrame(data []byte) (*envelope, error) {
 // bounds-checked and every count is checked against the bytes left
 // before anything is allocated for it, so hostile input ends in an
 // error. Payloads are decoded too, and the envelope keeps a private
-// copy of their bytes (body itself may be a recycled buffer).
+// copy of the bytes a receiver stores — agent state and a setvar's
+// value; body itself may be a recycled buffer.
 func decodeBody(body []byte) (*envelope, error) {
 	if len(body) < 2 {
 		return nil, fmt.Errorf("wire: frame body of %d bytes", len(body))
@@ -475,12 +476,12 @@ func decodeBody(body []byte) (*envelope, error) {
 		env.Node = r.int()
 	case msgSetVar:
 		env.Name = r.str()
-		env.Value, env.valueEnc = r.payload()
+		env.Value, env.valueEnc = r.payload(true)
 	case msgGetVar, msgClear:
 		env.Name = r.str()
 	case msgVar:
 		env.Err = r.str()
-		env.Value, env.valueEnc = r.payload()
+		env.Value, _ = r.payload(false) // the caller keeps only the value
 	case msgOK:
 		env.Err = r.str()
 	case msgMigrate:
@@ -516,7 +517,7 @@ func decodeBody(body []byte) (*envelope, error) {
 func (r *recReader) agent() *agentMsg {
 	a := &agentMsg{}
 	a.ID, a.Hop, a.Job, a.Behavior = r.agentHead()
-	a.State, a.enc = r.payload()
+	a.State, a.enc = r.payload(true)
 	return a
 }
 

@@ -1,10 +1,7 @@
 package wire
 
 import (
-	"bytes"
-	"math/rand"
 	"reflect"
-	"sync"
 	"testing"
 	"time"
 )
@@ -132,158 +129,4 @@ func TestReplayMessagesSnapshotIsolation(t *testing.T) {
 	if msgs[0].Behavior != "B" || msgs[0].Hop != 0 || msgs[0].ID != 7 {
 		t.Errorf("replay metadata wrong: %+v", msgs[0])
 	}
-}
-
-// nestedState carries an inner interface, whose concrete type a decoder
-// resolves by name at decode time — the shape the decoder memo refuses.
-type nestedState struct {
-	Step  int
-	Inner any
-}
-
-func init() { RegisterState(&nestedState{}) }
-
-// TestStateDecoderMemoMatchesFresh decodes every stream twice — the
-// first decode of a shape is fresh, later ones reuse a memoized decoder
-// — across memoizable and non-memoizable shapes, interleaved, and
-// requires each result to equal the encoded value.
-func TestStateDecoderMemoMatchesFresh(t *testing.T) {
-	RegisterState(&richState{})
-	r := rand.New(rand.NewSource(9))
-	values := []any{
-		int64(-7), "carrier", []float64{1, 2.5},
-		&richState{Mi: 1, Row: []float64{3}, Tags: map[string]int{"a": 1}, Stamp: time.Unix(5, 0).UTC()},
-		&nestedState{Step: 1, Inner: &goldenState{Step: 2, Vals: []float64{0.5}}},
-		&nestedState{Step: 2, Inner: "text"},
-		&nestedState{Step: 3},
-	}
-	for i := 0; i < 40; i++ {
-		values = append(values, randPayload(r))
-	}
-	for round := 0; round < 3; round++ {
-		for _, v := range values {
-			b, err := encodeState(v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := decodeState(b)
-			if err != nil {
-				t.Fatalf("round %d: decode %T: %v", round, v, err)
-			}
-			if !reflect.DeepEqual(got, v) {
-				t.Fatalf("round %d: decoded %#v, want %#v", round, got, v)
-			}
-		}
-	}
-	if !memoizable(reflect.TypeOf(&richState{})) || memoizable(reflect.TypeOf(&nestedState{})) {
-		t.Fatal("memoizable misjudges interface-free and interface-carrying types")
-	}
-}
-
-// TestStateDecoderMemoAllocs pins what the memo buys: a repeated small
-// state decodes without re-reading its type definitions.
-func TestStateDecoderMemoAllocs(t *testing.T) {
-	b, err := encodeState(&benchState{Remaining: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := decodeState(b); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := decodeState(b); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 10 {
-		t.Fatalf("a repeated small state decode makes %v allocations", allocs)
-	}
-}
-
-// TestParseStateStreamRejectsDamage: a damaged stream never parses into
-// a shape past its end, and decodes (fresh) to an error or a value —
-// never a panic.
-func TestParseStateStreamRejectsDamage(t *testing.T) {
-	b, err := encodeState(&goldenState{Step: 4, Vals: []float64{1, 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for cut := 0; cut < len(b); cut++ {
-		if _, ok := parseStateStream(b[:cut]); ok {
-			t.Fatalf("stream cut to %d of %d bytes parsed", cut, len(b))
-		}
-		decodeState(b[:cut])
-	}
-	for i := range b {
-		c := bytes.Clone(b)
-		c[i] ^= 0xa5
-		if s, ok := parseStateStream(c); ok && (s.id > len(c) || s.headEnd > len(c)) {
-			t.Fatalf("corrupt byte %d parsed to %+v past the end", i, s)
-		}
-		decodeState(c)
-	}
-}
-
-// FuzzDecodeState: the memoized decoder and a fresh one agree on every
-// input — both refuse it, or both decode values that encode alike.
-// Seeds are repeated so shapes are memoized before their mutants run.
-func FuzzDecodeState(f *testing.F) {
-	RegisterState(&richState{})
-	for _, v := range []any{
-		int64(42), "s", &benchState{Remaining: 3}, &goldenState{Step: 1, Vals: []float64{2}},
-		&richState{Mi: 2, Tags: map[string]int{"x": 1}}, &nestedState{Inner: int64(1)},
-	} {
-		b, err := encodeState(v)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(b)
-		f.Add(b)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		memo, merr := decodeState(data)
-		fresh, ferr := newStateDecoder().decode(data)
-		if (merr == nil) != (ferr == nil) {
-			t.Fatalf("memoized decode err = %v, fresh err = %v", merr, ferr)
-		}
-		if merr != nil {
-			return
-		}
-		a, aerr := encodeState(memo)
-		b, berr := encodeState(fresh)
-		if (aerr == nil) != (berr == nil) || !bytes.Equal(a, b) {
-			t.Fatalf("memoized decode %#v differs from fresh %#v", memo, fresh)
-		}
-	})
-}
-
-// TestStateDecoderMemoConcurrent decodes a few shapes from several
-// goroutines at once: memoized decoders are taken and returned under
-// the memo's lock and never shared by two decodes.
-func TestStateDecoderMemoConcurrent(t *testing.T) {
-	values := []any{&benchState{Remaining: 5}, &goldenState{Step: 1, Vals: []float64{4}}, int64(9), &nestedState{Inner: "x"}}
-	streams := make([][]byte, len(values))
-	for i, v := range values {
-		b, err := encodeState(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		streams[i] = b
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				k := (g + i) % len(values)
-				v, err := decodeState(streams[k])
-				if err != nil || !reflect.DeepEqual(v, values[k]) {
-					t.Errorf("goroutine %d: decoded (%#v, %v), want %#v", g, v, err, values[k])
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
 }

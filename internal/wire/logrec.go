@@ -520,10 +520,10 @@ func (r *recReader) agentHead() (id, hop, job uint64, behavior string) {
 }
 
 // payload reads an opaque value written by recBuf.payload, returning the
-// decoded value and a private copy of its bytes; the empty payload is
-// nil.
-func (r *recReader) payload() (any, []byte) {
-	enc := r.bytes()
+// decoded value and, when keep is set, a private copy of its bytes for a
+// receiver that stores them; the empty payload is nil.
+func (r *recReader) payload(keep bool) (any, []byte) {
+	enc := r.view()
 	if r.err != nil || len(enc) == 0 {
 		return nil, nil
 	}
@@ -532,7 +532,10 @@ func (r *recReader) payload() (any, []byte) {
 		r.fail("%v", err)
 		return nil, nil
 	}
-	return v, enc
+	if !keep {
+		return v, nil
+	}
+	return v, bytes.Clone(enc)
 }
 
 func (r *recReader) counters() counters {

@@ -2,13 +2,9 @@ package wire
 
 import (
 	"bytes"
-	"encoding"
-	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"io"
-	"reflect"
-	"sync"
 )
 
 // stateBox wraps an agent's carried state so a nil or interface-typed
@@ -34,330 +30,13 @@ func encodeStateTo(w io.Writer, v any) error {
 	return nil
 }
 
-// decodeState restores encodeState bytes.
-//
-// Every stream re-sends its type definitions, and a fresh gob decoder
-// spends most of a small value's decode parsing them and compiling its
-// decoding engines. Traffic repeats a few stream shapes — the same
-// state type from the same sender, hop after hop — so decoders are
-// memoized by shape (stateDecoders): a decoder that decoded one stream
-// decodes the next of the same shape from its value alone, as if the
-// two had arrived on one gob stream. A warm decode that fails falls
-// back to a fresh one, which is authoritative.
+// decodeState restores encodeState bytes with a fresh gob decoder: the
+// stream carries its own type definitions, so no decoder state outlives
+// one payload.
 func decodeState(b []byte) (any, error) {
-	s, ok := parseStateStream(b)
-	if ok {
-		if sd := stateDecoders.take(b, s); sd != nil {
-			if v, err := sd.decodeValue(b, s); err == nil {
-				stateDecoders.put(b, s, sd, v)
-				return v, nil
-			}
-		}
-	}
-	sd := newStateDecoder()
-	v, err := sd.decode(b)
-	if err != nil {
+	var box stateBox
+	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&box); err != nil {
 		return nil, fmt.Errorf("wire: checkpoint decode: %w", err)
 	}
-	if ok {
-		stateDecoders.put(b, s, sd, v)
-	}
-	return v, nil
-}
-
-// stateStream locates the parts of an encodeState stream of a non-nil
-// value. gob writes it as messages: type definitions, the stateBox value
-// message opening with its type id, field V and the concrete type's
-// name (then, inline, the definitions that type needs), and — when
-// definitions intervened — a last message carrying the concrete type id
-// and the value. The shape of a stream is everything before the last
-// message, b[:last], plus the last message's body up to the concrete
-// type id, b[body:id]. A decoder that has read one stream of a shape
-// reads the next as the single message b[head:headEnd] ++ b[body:]:
-// the stateBox id, field and name, then the concrete id and value — the
-// message a gob encoder that had already sent the types would write.
-type stateStream struct {
-	last, body, id int
-	head, headEnd  int
-}
-
-// parseStateStream locates a stream's parts, reporting false for
-// anything but type definitions followed by one stateBox value whose V
-// is set.
-func parseStateStream(b []byte) (stateStream, bool) {
-	var s stateStream
-	opened := false // the stateBox value message has been seen
-	for i := 0; i < len(b); {
-		n, w := gobUint(b[i:])
-		if w == 0 || n == 0 || n > uint64(len(b)-i-w) {
-			return s, false
-		}
-		body := b[i+w : i+w+int(n)]
-		id, iw := gobInt(body)
-		if iw == 0 {
-			return s, false
-		}
-		next := i + w + int(n)
-		switch {
-		case id < 0: // a type definition message
-		case !opened:
-			// stateBox's value: field delta 1 (V), the concrete type's
-			// name, then its id or inline definitions.
-			r := body[iw:]
-			delta, dw := gobUint(r)
-			if dw == 0 || delta != 1 {
-				return s, false
-			}
-			r = r[dw:]
-			nameLen, nw := gobUint(r)
-			if nw == 0 || nameLen == 0 || nameLen > uint64(len(r)-nw) {
-				return s, false
-			}
-			r = r[nw+int(nameLen):]
-			opened = true
-			s.head, s.headEnd = i+w, i+w+len(body)-len(r)
-			if cid, cw := gobInt(r); cw > 0 && cid > 0 {
-				// No definitions intervened: this is the last message.
-				if next != len(b) {
-					return s, false
-				}
-				s.last, s.body, s.id = i, i+w, s.headEnd+cw
-				s.headEnd = s.head // the message is fed whole
-				return s, true
-			}
-		default:
-			// The concrete type id opening the last message.
-			if next != len(b) {
-				return s, false
-			}
-			s.last, s.body, s.id = i, i+w, i+w+iw
-			return s, true
-		}
-		i = next
-	}
-	return s, false
-}
-
-// gobUint decodes gob's unsigned integer encoding, returning its width
-// (0 when b is too short or malformed).
-func gobUint(b []byte) (uint64, int) {
-	if len(b) == 0 {
-		return 0, 0
-	}
-	if b[0] <= 0x7f {
-		return uint64(b[0]), 1
-	}
-	n := -int(int8(b[0]))
-	if n > 8 || n >= len(b) {
-		return 0, 0
-	}
-	var x uint64
-	for _, c := range b[1 : n+1] {
-		x = x<<8 | uint64(c)
-	}
-	return x, n + 1
-}
-
-// gobInt decodes gob's signed integer encoding.
-func gobInt(b []byte) (int64, int) {
-	u, w := gobUint(b)
-	if u&1 != 0 {
-		return ^int64(u >> 1), w
-	}
-	return int64(u >> 1), w
-}
-
-// stateDecoder is a gob decoder over a source the caller refills.
-type stateDecoder struct {
-	src     msgSource
-	dec     *gob.Decoder
-	scratch []byte // a warm decode's synthesized message
-}
-
-func newStateDecoder() *stateDecoder {
-	sd := &stateDecoder{}
-	sd.dec = gob.NewDecoder(&sd.src)
-	return sd
-}
-
-// decode reads one stateBox from b.
-func (sd *stateDecoder) decode(b []byte) (any, error) {
-	sd.src.b = b
-	var box stateBox
-	err := sd.dec.Decode(&box)
-	sd.src.b = nil
-	return box.V, err
-}
-
-// decodeValue reads the value of stream b through a decoder that has
-// read a stream of the same shape: one message, the stateBox head and
-// the last message's body, staged in the decoder's scratch buffer.
-func (sd *stateDecoder) decodeValue(b []byte, s stateStream) (any, error) {
-	if s.headEnd == s.head {
-		return sd.decode(b[s.last:])
-	}
-	n := s.headEnd - s.head + len(b) - s.body
-	sd.scratch = appendGobUint(sd.scratch[:0], uint64(n))
-	sd.scratch = append(sd.scratch, b[s.head:s.headEnd]...)
-	sd.scratch = append(sd.scratch, b[s.body:]...)
-	return sd.decode(sd.scratch)
-}
-
-// appendGobUint appends x in gob's unsigned integer encoding.
-func appendGobUint(b []byte, x uint64) []byte {
-	if x <= 0x7f {
-		return append(b, byte(x))
-	}
-	var be [8]byte
-	binary.BigEndian.PutUint64(be[:], x)
-	k := 0
-	for be[k] == 0 {
-		k++
-	}
-	b = append(b, byte(-(8 - k)))
-	return append(b, be[k:]...)
-}
-
-// msgSource is an io.Reader and io.ByteReader over a byte slice, so gob
-// reads it without a bufio wrapper and never reads ahead.
-type msgSource struct{ b []byte }
-
-func (s *msgSource) Read(p []byte) (int, error) {
-	if len(s.b) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, s.b)
-	s.b = s.b[n:]
-	return n, nil
-}
-
-func (s *msgSource) ReadByte() (byte, error) {
-	if len(s.b) == 0 {
-		return 0, io.EOF
-	}
-	c := s.b[0]
-	s.b = s.b[1:]
-	return c, nil
-}
-
-// Bounds of the decoder memo: distinct stream shapes kept, idle decoders
-// kept per shape (one per concurrent decoder is plenty), and the largest
-// stream whose decoder is kept (a decoder keeps its last message buffer,
-// so big payloads — block states — decode fresh instead of pinning
-// megabytes).
-const (
-	maxStateShapes    = 64
-	maxIdlePerShape   = 4
-	maxMemoizedStream = 16 << 10
-)
-
-// decoderMemo holds idle decoders by stream shape: the type-definition
-// prefix, then the value header.
-//
-// A memoized decoder is equivalent to a fresh one for its shape because
-// everything it consults was fixed by the shape's first decode: the
-// type definitions (the prefix, byte for byte) and the decoding engines
-// for the stateBox and the concrete value (header, byte for byte). Only
-// concrete types with no interface-typed parts are memoized — an inner
-// interface names its own type at decode time, which a decoder could
-// resolve from types learned off earlier values.
-type decoderMemo struct {
-	mu     sync.Mutex
-	shapes map[string]map[string]*idleDecoders
-	n      int
-}
-
-type idleDecoders struct{ list []*stateDecoder }
-
-var stateDecoders = decoderMemo{shapes: map[string]map[string]*idleDecoders{}}
-
-// take pops an idle decoder for b's shape, or returns nil.
-func (m *decoderMemo) take(b []byte, s stateStream) *stateDecoder {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	idle := m.shapes[string(b[:s.last])][string(b[s.body:s.id])]
-	if idle == nil || len(idle.list) == 0 {
-		return nil
-	}
-	sd := idle.list[len(idle.list)-1]
-	idle.list = idle.list[:len(idle.list)-1]
-	return sd
-}
-
-// put keeps sd, which just decoded v from b, for b's shape.
-func (m *decoderMemo) put(b []byte, s stateStream, sd *stateDecoder, v any) {
-	if len(b) > maxMemoizedStream || !memoizable(reflect.TypeOf(v)) {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	byHeader := m.shapes[string(b[:s.last])]
-	idle := byHeader[string(b[s.body:s.id])]
-	if idle == nil {
-		if m.n >= maxStateShapes {
-			return
-		}
-		if byHeader == nil {
-			byHeader = map[string]*idleDecoders{}
-			m.shapes[string(b[:s.last])] = byHeader
-		}
-		idle = &idleDecoders{}
-		byHeader[string(b[s.body:s.id])] = idle
-		m.n++
-	}
-	if len(idle.list) < maxIdlePerShape {
-		idle.list = append(idle.list, sd)
-	}
-}
-
-var memoizableTypes sync.Map // reflect.Type → bool
-
-// memoizable reports whether values of t decode without resolving any
-// type by name: t has no interface-typed part, looking through
-// pointers, structs, slices, arrays and maps, and stopping at types
-// that decode themselves from bytes.
-func memoizable(t reflect.Type) bool {
-	if t == nil {
-		return false
-	}
-	if ok, seen := memoizableTypes.Load(t); seen {
-		return ok.(bool)
-	}
-	ok := noInterfaces(t, map[reflect.Type]bool{})
-	memoizableTypes.Store(t, ok)
-	return ok
-}
-
-var (
-	gobDecoderType       = reflect.TypeFor[gob.GobDecoder]()
-	binaryUnmarshalerTyp = reflect.TypeFor[encoding.BinaryUnmarshaler]()
-	textUnmarshalerType  = reflect.TypeFor[encoding.TextUnmarshaler]()
-)
-
-func noInterfaces(t reflect.Type, seen map[reflect.Type]bool) bool {
-	if seen[t] {
-		return true
-	}
-	seen[t] = true
-	pt := reflect.PointerTo(t)
-	for _, u := range []reflect.Type{gobDecoderType, binaryUnmarshalerTyp, textUnmarshalerType} {
-		if t.Implements(u) || pt.Implements(u) {
-			return true
-		}
-	}
-	switch t.Kind() {
-	case reflect.Interface:
-		return false
-	case reflect.Pointer, reflect.Slice, reflect.Array:
-		return noInterfaces(t.Elem(), seen)
-	case reflect.Map:
-		return noInterfaces(t.Key(), seen) && noInterfaces(t.Elem(), seen)
-	case reflect.Struct:
-		for i := 0; i < t.NumField(); i++ {
-			if !noInterfaces(t.Field(i).Type, seen) {
-				return false
-			}
-		}
-	}
-	return true
+	return box.V, nil
 }
